@@ -14,14 +14,13 @@ inputs rather than different inputs.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import gc
 import hashlib
 import http.client
-import itertools
 import json
 import os
+import pickle
 import shutil
 import statistics
 import subprocess
@@ -33,6 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+import loadgen
 import spans as tracing
 from repro.api.registry import get_strategy
 from repro.api.spec import RunSpec
@@ -52,18 +52,30 @@ MAX_MEASURE_S = 120.0
 SEARCH_SEED = 0
 # Set-up-only repetitions added to the set-ups the measured searches do, so
 # setup_s is a median of several samples even when few searches fit.
-EXTRA_SETUPS = 3
-# Requests per probe of the searched children (searches) and per connection
-# before the closed loop (serve-http's /healthz calibration).
-PROBE_REQUESTS = 400
-PROBE_REPEATS = 3
+EXTRA_SETUPS = 7
+# Requests per probe of the searched children: twenty samples beyond the p99.
+PROBE_REQUESTS = 2000
+# The probe's children: the first wave of 4, sampled before any reward.
+PROBE_CHILDREN = 4
+# The probe's requests are split over this many fresh interpreters, one
+# after another: from process to process the predict speed lands on one of
+# two levels (with address randomisation off it did not, so the layout is
+# the suspect).
+PROBE_PROCESSES = 8
+# serve-http's /healthz calls per connection before the closed loop.
 HEALTHZ_PER_CONNECTION = 20
-# Requests are 1 or 8 validation images; this share are 8 rows.  Away from
-# one half, so the p50 falls inside the 1-row requests and the p99 inside
-# the 8-row ones rather than on the boundary between the two.
+# The closed loop's keep-alive connections: the 16 clients of
+# benchmarks/bench_serving.py's closed loop, fixed so that results compare
+# across hosts.
+CONNECTIONS = 16
+# Requests are 1 or 8 validation images.  Single rows are what
+# bench_serving.py's clients send, 8 rows its block of inputs.  The share of
+# 8-row requests is an assumption, not a measured traffic profile: chosen
+# away from one half, so the p50 falls inside the 1-row requests and the p99
+# inside the 8-row ones rather than on the boundary between the two.
 MULTI_ROW_SHARE = 0.25
 REQUEST_POOL = 256
-SERVE_SETUPS = 5
+SERVE_SETUPS = 15
 
 
 # -- results ------------------------------------------------------------------------
@@ -88,6 +100,18 @@ class Pass:
 def percentile(values: List[float], q: float) -> float:
     ordered = sorted(values)
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+
+
+def child(*args: str) -> str:
+    """Run ``python3 -m workloads <args>`` in a fresh interpreter; its last output line."""
+    finished = subprocess.run(
+        [sys.executable, "-m", "workloads", *args],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([HERE, SRC])),
+        stdout=subprocess.PIPE,
+        check=True,
+        timeout=FIXTURE_TIMEOUT_S,
+    )
+    return finished.stdout.decode("utf-8").strip().splitlines()[-1]
 
 
 # -- peak memory of the process tree -------------------------------------------------
@@ -139,6 +163,8 @@ class PeakRss:
     def __init__(self, interval: float = 0.02):
         self.interval = interval
         self.peak = 0
+        # Processes (and their descendants) left out of the sum.
+        self.skip: set = set()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._loop, name="perfbench-rss", daemon=True)
 
@@ -146,6 +172,8 @@ class PeakRss:
         total, pending = 0, [os.getpid()]
         while pending:
             pid = pending.pop()
+            if pid in self.skip:
+                continue
             total += _resident_bytes(pid)
             pending.extend(_children(pid))
         self.peak = max(self.peak, total)
@@ -227,6 +255,7 @@ def search_spec(
     engine: Dict[str, Any],
     compute: Optional[Dict[str, Any]] = None,
     evaluation: Optional[Dict[str, Any]] = None,
+    policy_batch: int = 4,
 ) -> RunSpec:
     payload: Dict[str, Any] = {
         "strategy": "fahana",
@@ -245,7 +274,7 @@ def search_spec(
             "child_batch_size": 16,
             "pretrain_epochs": pretrain_epochs,
             "max_searchable": 2,
-            "policy_batch": 4,
+            "policy_batch": policy_batch,
             "seed": SEARCH_SEED,
         },
         "engine": engine,
@@ -305,28 +334,46 @@ class SearchWorkload:
 
     # -- the measured pass ---------------------------------------------------------
     def measure(self, seconds: float, max_repeats: Optional[int] = None, probe: bool = True) -> Pass:
-        """Repeat the search until ``seconds`` are spent, at least MIN_REPEATS times."""
+        """Repeat the search until ``seconds`` of searching are spent, at least
+        MIN_REPEATS times; with ``probe``, the probe's parts run in between."""
         result = Pass()
         runs: List[SearchRun] = []
-        setups: List[float] = []
-        with PeakRss() as rss:
+        parts: List[Dict[str, Any]] = []
+        peaks: List[int] = []
+        searching = 0.0
+        while True:
+            # Each search starts from the same heap, whatever the one before
+            # it freed: a pool forks its workers from this process.
+            release_free_heap()
             start = time.perf_counter()
-            while True:
+            with PeakRss() as rss:
                 runs.append(run_search(self.next_spec()))
-                elapsed = time.perf_counter() - start
-                if max_repeats is not None and len(runs) >= max_repeats:
-                    break
-                # Stop before a repeat that would overrun ``seconds``.
-                if len(runs) >= MIN_REPEATS and (elapsed * (len(runs) + 1) / len(runs) > seconds or elapsed > MAX_MEASURE_S):
-                    break
+            searching += time.perf_counter() - start
+            peaks.append(rss.peak)
+            if probe:
+                if len(runs) == 1:
+                    inputs = self._probe_inputs(runs[0])
+                    # Spread the parts over the searches this run will make,
+                    # so that the probe meets the host as the searches do.
+                    expected = max(MIN_REPEATS, int(seconds * len(runs) / searching))
+                    per_search = -(-PROBE_PROCESSES // expected)
+                for _ in range(min(per_search, PROBE_PROCESSES - len(parts))):
+                    parts.append(json.loads(child("probe", inputs, str(len(parts)))))
+            if max_repeats is not None and len(runs) >= max_repeats:
+                break
+            # Stop before a repeat that would overrun ``seconds``.
+            if len(runs) >= MIN_REPEATS and (searching * (len(runs) + 1) / len(runs) > seconds or searching > MAX_MEASURE_S):
+                break
+        setups = [run.setup_s for run in runs]
+        with PeakRss() as rss:
             for _ in range(EXTRA_SETUPS if max_repeats is None else 0):
                 setups.append(set_up(self.spec)[3])
-        setups.extend(run.setup_s for run in runs)
+        peaks.append(rss.peak)
 
         rates = [run.episodes / run.run_s for run in runs]
         result.metrics["setup_s"] = statistics.median(setups)
         result.metrics["episodes_per_s"] = statistics.median(rates)
-        result.metrics["peak_rss_mb"] = rss.megabytes
+        result.metrics["peak_rss_mb"] = max(peaks) / 2**20
         result.notes.update(
             searches=len(runs),
             episodes_per_search=self.episodes,
@@ -348,69 +395,60 @@ class SearchWorkload:
                 result.failed += run.episodes
         result.histories = [runs[0].history]
         if probe:
-            self._probe(runs[0], result)
+            while len(parts) < PROBE_PROCESSES:
+                parts.append(json.loads(child("probe", inputs, str(len(parts)))))
+            self._probe_metrics(parts, result)
         return result
 
     # -- predictions of the searched child -------------------------------------------
-    def _probe(self, run: SearchRun, result: Pass) -> None:
-        """In-process float32 predicts of the searched children (no HTTP).
+    def _probe_inputs(self, run: SearchRun) -> str:
+        """Pickle what the probe needs; returns the file's path.
 
-        The search's product must answer predictions fast; this times
+        The search's product must answer predictions fast; the probe times
         ``Trainer.predict`` over the same 1-or-8-row request mix serve-http
         sends, each request answered by the next first-wave child in turn.
         The first wave is sampled before any reward reaches the controller,
         so with the fixed search seed it is the same set of children for
-        every benchmark seed.  Weights are the children's initial ones:
-        inference time does not depend on them.
+        every benchmark seed.  The probe runs in PROBE_PROCESSES fresh
+        interpreters (see :func:`probe_children`), so neither the searches
+        nor one process's address layout set the speed.
         """
         search = run.engine.search
-        models = [
-            record.descriptor.build(
-                num_classes=search.train_dataset.num_classes,
-                width_multiplier=search.config.producer.width_multiplier,
-                rng=0,
-            ).astype("float32")
-            for record in run.history.records[: search.config.policy.batch_episodes]
-        ]
-        trainer = Trainer(TrainingConfig(batch_size=32, inference_batch_size=32))
-        requests = request_rows(run.validation.images, self.seed, PROBE_REQUESTS)
-        latencies: List[float] = []
-        rows_done = 0
-        begin = time.perf_counter()
-        for index, rows in enumerate(requests):
-            model = models[index % len(models)]
-            # A request's latency is the median of PROBE_REPEATS answers, so
-            # one scheduler or collector pause does not become the p99.
-            samples = []
-            for _ in range(PROBE_REPEATS):
-                start = time.perf_counter()
-                predictions = trainer.predict(model, rows, batch_size=rows.shape[0])
-                samples.append(time.perf_counter() - start)
-                result.attempted += 1
-                if predictions.shape != (rows.shape[0],):
-                    result.failed += 1
-                else:
-                    rows_done += rows.shape[0]
-            latencies.append(statistics.median(samples))
-        wall = time.perf_counter() - begin
-        result.metrics["predict_rows_per_s"] = rows_done / wall
+        inputs = {
+            "descriptors": [record.descriptor for record in run.history.records[:PROBE_CHILDREN]],
+            "num_classes": search.train_dataset.num_classes,
+            "width_multiplier": search.config.producer.width_multiplier,
+            "images": run.validation.images,
+            "seed": self.seed,
+        }
+        path = os.path.join(self.workdir, "probe.pickle")
+        with open(path, "wb") as handle:
+            pickle.dump(inputs, handle)
+        return path
+
+    @staticmethod
+    def _probe_metrics(parts: List[Dict[str, Any]], result: Pass) -> None:
+        latencies = [value for part in parts for value in part["latencies_s"]]
+        result.attempted += len(latencies)
+        result.failed += sum(part["failed"] for part in parts)
+        result.metrics["predict_rows_per_s"] = sum(part["rows"] for part in parts) / sum(part["wall_s"] for part in parts)
         result.metrics["predict_p50_ms"] = 1e3 * percentile(latencies, 0.50)
         result.metrics["predict_p99_ms"] = 1e3 * percentile(latencies, 0.99)
         result.notes["predict_samples"] = len(latencies)
-        result.notes["predict_source"] = f"in-process Trainer.predict of {len(models)} first-wave children"
+        result.notes["predict_source"] = f"Trainer.predict of {PROBE_CHILDREN} first-wave children"
 
     # -- the traced pass --------------------------------------------------------------
     def traced(self, untraced: Pass, seconds: float) -> Tuple[Pass, List[Dict[str, Any]]]:
         """One traced search; its digest must equal the untraced pass's."""
-        tracer = tracing.Tracer()
-        installation = tracing.Installation(tracer)
+        recorder = tracing.Recorder()
+        installation = tracing.Installation(recorder)
         try:
             result = self.measure(seconds, max_repeats=1, probe=False)
         finally:
             installation.close()
         if not result.check("history digest identical traced vs untraced", result.digest == untraced.digest):
             result.failed += self.episodes
-        return result, tracer.spans
+        return result, recorder.spans
 
 
 class SearchTrain(SearchWorkload):
@@ -432,7 +470,13 @@ class SearchStaged(SearchWorkload):
             child_epochs=3,
             pretrain_epochs=1,
             timing_constraint_ms=1e6,
-            engine={"backend": "process", "num_workers": NPROC, "use_cache": True},
+            # Waves of 4, as in the other searches, but one policy update per
+            # search: every child is then sampled before any reward, so the
+            # children do not depend on the benchmark seed.  With an update
+            # every 4 episodes one later child was 16 or 26 MB depending on
+            # the data, and peak_rss_mb fell on one of two levels 100 MB apart.
+            policy_batch=self.episodes,
+            engine={"backend": "process", "num_workers": NPROC, "use_cache": True, "batch_episodes": 4},
             compute={"precision": "float32"},
             # The two-stage ladder of examples/specs/multi_fidelity.json.
             evaluation={
@@ -500,6 +544,42 @@ def request_rows(images: np.ndarray, seed: int, count: int) -> List[np.ndarray]:
     return [images[rng.integers(0, images.shape[0], size=rows)] for rows in rng.permutation(sizes)]
 
 
+def probe_children(path: str, part: int) -> Dict[str, Any]:
+    """Time float32 ``Trainer.predict`` of the children pickled at ``path``.
+
+    This process answers every PROBE_PROCESSES-th request, from ``part``
+    on; each request goes to the next child in turn.  Weights are the
+    children's initial ones: inference time does not depend on them.  A
+    1-row and an 8-row predict on each child warm the buffers first.
+    """
+    with open(path, "rb") as handle:
+        inputs = pickle.load(handle)
+    models = [
+        descriptor.build(
+            num_classes=inputs["num_classes"], width_multiplier=inputs["width_multiplier"], rng=0
+        ).astype("float32")
+        for descriptor in inputs["descriptors"]
+    ]
+    trainer = Trainer(TrainingConfig(batch_size=32, inference_batch_size=32))
+    for model in models:
+        for size in (1, 8):
+            trainer.predict(model, inputs["images"][:size], batch_size=size)
+    requests = request_rows(inputs["images"], inputs["seed"], PROBE_REQUESTS)
+    latencies: List[float] = []
+    failed = rows_done = 0
+    begin = time.perf_counter()
+    for index in range(part, len(requests), PROBE_PROCESSES):
+        rows = requests[index]
+        start = time.perf_counter()
+        predictions = trainer.predict(models[index % len(models)], rows, batch_size=rows.shape[0])
+        latencies.append(time.perf_counter() - start)
+        if predictions.shape != (rows.shape[0],):
+            failed += 1
+        else:
+            rows_done += rows.shape[0]
+    return {"latencies_s": latencies, "rows": rows_done, "wall_s": time.perf_counter() - begin, "failed": failed}
+
+
 def promote_searched_child(spec: RunSpec, workdir: str, zoo_root: str, name: str) -> float:
     """Run a search through the run service, promote its best child; episodes/s."""
     from repro.serving.registry import ZooRegistry
@@ -520,6 +600,7 @@ class ServeHttp:
     """Promote a searched child, serve it over HTTP, drive a closed loop."""
 
     model = "bench"
+    predict_path = f"/models/{model}/predict"
     episodes = 16
 
     def __init__(self, seed: int, workdir: str):
@@ -538,24 +619,29 @@ class ServeHttp:
 
         self.zoo_root = os.path.join(self.workdir, "zoo")
         spec = train_spec(self.seed, self.episodes)
-        fixture = subprocess.run(
-            [sys.executable, "-m", "workloads", "promote", spec.to_json(), self.workdir, self.zoo_root, self.model],
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join([HERE, SRC])),
-            stdout=subprocess.PIPE,
-            check=True,
-            timeout=FIXTURE_TIMEOUT_S,
-        )
-        self.search_rate = float(fixture.stdout.decode("utf-8").split()[-1])
+        self.search_rate = float(child("promote", spec.to_json(), self.workdir, self.zoo_root, self.model))
 
         model, _descriptor, _entry = ZooRegistry(self.zoo_root).load_model(self.model)
         model.astype("float32")
         trainer = Trainer(TrainingConfig(batch_size=32, inference_batch_size=32))
         images = spec.dataset.build().validation.images
-        self.requests = []
+        requests = []
         for rows in request_rows(images, self.seed, REQUEST_POOL):
-            body = json.dumps({"inputs": rows.tolist()}).encode("utf-8")
+            body = json.dumps({"inputs": rows.tolist()})
             expected = trainer.predict(model, rows, batch_size=rows.shape[0]).tolist()
-            self.requests.append((body, rows.shape[0], expected))
+            requests.append((body, rows.shape[0], expected))
+        self.first_body = requests[0][0].encode("utf-8")
+        self.job = os.path.join(self.workdir, "loadgen-job.json")
+        with open(self.job, "w", encoding="utf-8") as handle:
+            json.dump(
+                {
+                    "path": self.predict_path,
+                    "connections": CONNECTIONS,
+                    "healthz_per_connection": HEALTHZ_PER_CONNECTION,
+                    "requests": requests,
+                },
+                handle,
+            )
 
     # -- daemon lifecycle ----------------------------------------------------------------
     def _start(self):
@@ -567,16 +653,6 @@ class ServeHttp:
     def _connect(self):
         return http.client.HTTPConnection(self.service.host, self.service.port, timeout=60)
 
-    def _post(self, connection, body: bytes) -> Tuple[int, bytes]:
-        connection.request(
-            "POST",
-            f"/models/{self.model}/predict",
-            body=body,
-            headers={"Content-Type": "application/json"},
-        )
-        response = connection.getresponse()
-        return response.status, response.read()
-
     def setup(self) -> List[float]:
         """Daemon start + first predict (which loads the zoo entry), several times."""
         samples = []
@@ -585,12 +661,14 @@ class ServeHttp:
             self.service = self._start()
             connection = self._connect()
             try:
-                status, _ = self._post(connection, self.requests[0][0])
+                status, payload, _seconds, connection = loadgen.exchange(
+                    connection, "POST", self.predict_path, self.first_body
+                )
             finally:
                 connection.close()
             samples.append(time.perf_counter() - start)
             if status != 200:
-                raise RuntimeError(f"first predict answered HTTP {status}")
+                raise RuntimeError(f"first predict answered {status}: {payload[:200]!r}")
             if index < SERVE_SETUPS - 1:
                 self.close()
         return samples
@@ -602,79 +680,50 @@ class ServeHttp:
 
     # -- the closed loop -----------------------------------------------------------------
     def closed_loop(self, seconds: float, result: Pass) -> None:
-        connections = NPROC
-        latencies: List[List[float]] = [[] for _ in range(connections)]
-        healthz: List[List[float]] = [[] for _ in range(connections)]
-        rows_ok = [0] * connections
-        failures = [0] * connections
-        errors: List[str] = []
-        # Every connection calibrates first; the clock starts once all have.
-        calibrated = threading.Barrier(connections + 1)
-        go = threading.Event()
-        deadline = [0.0]
+        """Run the load generator against the daemon for ``seconds``.
 
-        tracer = tracing.active_tracer()
-
-        def client(index: int) -> None:
-            sequence = itertools.count(index * len(self.requests) // connections)
-            connection = self._connect()
-            try:
-                for _ in range(HEALTHZ_PER_CONNECTION):
-                    start = time.perf_counter()
-                    connection.request("GET", "/healthz")
-                    response = connection.getresponse()
-                    response.read()
-                    healthz[index].append(time.perf_counter() - start)
-                calibrated.wait()
-                go.wait()
-                while time.perf_counter() < deadline[0]:
-                    number = next(sequence)
-                    body, rows, expected = self.requests[number % len(self.requests)]
-                    span = (
-                        tracer.span("client.request", request=f"connection{index}/request{number}")
-                        if tracer is not None
-                        else contextlib.nullcontext()
-                    )
-                    start = time.perf_counter()
-                    with span:
-                        status, payload = self._post(connection, body)
-                    latencies[index].append(time.perf_counter() - start)
-                    if status == 200 and json.loads(payload)["predictions"] == expected:
-                        rows_ok[index] += rows
-                    else:
-                        failures[index] += 1
-                        if len(errors) < 5:
-                            errors.append(f"HTTP {status}: {payload[:200]!r}")
-            finally:
-                connection.close()
-
-        threads = [threading.Thread(target=client, args=(index,), name=f"perfbench-client-{index}") for index in range(connections)]
+        The generator is a process of its own (``perfbench/loadgen.py``);
+        its memory is left out of the peak, which is the daemon's.
+        """
+        command = [
+            sys.executable, os.path.join(HERE, "loadgen.py"),
+            self.job, self.service.host, str(self.service.port), repr(seconds),
+        ]
         release_free_heap()
         with PeakRss() as rss:
-            for thread in threads:
-                thread.start()
-            calibrated.wait()
-            begin = time.perf_counter()
-            deadline[0] = begin + seconds
-            go.set()
-            for thread in threads:
-                thread.join()
-            wall = time.perf_counter() - begin
-        flat = [value for per in latencies for value in per]
-        result.metrics["predict_rows_per_s"] = sum(rows_ok) / wall
+            generator = subprocess.Popen(command, stdout=subprocess.PIPE)
+            rss.skip.add(generator.pid)
+            try:
+                output, _ = generator.communicate(timeout=seconds + 2 * loadgen.CALIBRATION_TIMEOUT_S)
+            finally:
+                if generator.poll() is None:
+                    generator.kill()
+                    generator.wait()
+        if generator.returncode != 0:
+            raise RuntimeError(f"the load generator exited with code {generator.returncode}")
+        loop = json.loads(output.decode("utf-8").strip().splitlines()[-1])
+        recorder = tracing.active_recorder()
+        if recorder is not None:
+            for index, number, start, took in loop["records"]:
+                recorder.tracer.record(
+                    "client.request", start=start, duration=took, cat="client",
+                    tid=f"client-{index}", request=f"connection{index}/request{number}",
+                )
+        flat = [took for _index, _number, _start, took in loop["records"]]
+        calibration = loop["healthz_s"]
+        result.metrics["predict_rows_per_s"] = loop["rows_ok"] / loop["wall_s"]
         result.metrics["predict_p50_ms"] = 1e3 * percentile(flat, 0.50)
         result.metrics["predict_p99_ms"] = 1e3 * percentile(flat, 0.99)
         result.metrics["peak_rss_mb"] = rss.megabytes
-        calibration = [value for per in healthz for value in per]
         result.attempted += len(flat) + len(calibration)
-        result.failed += sum(failures)
+        result.failed += loop["failures"]
         result.check(
-            "served predictions equal direct Trainer.predict",
-            sum(failures) == 0,
-            f"{len(flat) - sum(failures)}/{len(flat)} requests matched; " + "; ".join(errors),
+            "every request answered 200, predictions equal to direct Trainer.predict",
+            loop["failures"] == 0,
+            f"{loop['failures']} of {len(flat) + len(calibration)} requests failed; " + "; ".join(loop["errors"]),
         )
         result.notes.update(
-            connections=connections,
+            connections=CONNECTIONS,
             predict_samples=len(flat),
             healthz_samples=len(calibration),
             healthz_p50_ms=1e3 * percentile(calibration, 0.50),
@@ -692,9 +741,9 @@ class ServeHttp:
 
     def traced(self, untraced: Pass, seconds: float) -> Tuple[Pass, List[Dict[str, Any]]]:
         """The closed loop again, traced, on the daemon already serving."""
-        tracer = tracing.Tracer()
+        recorder = tracing.Recorder()
         before = self._batch_totals()
-        installation = tracing.Installation(tracer)
+        installation = tracing.Installation(recorder)
         try:
             result = Pass()
             result.metrics.update(setup_s=untraced.metrics["setup_s"], episodes_per_s=self.search_rate)
@@ -704,7 +753,7 @@ class ServeHttp:
         after = self._batch_totals()
         batches = after[1] - before[1]
         result.serving["batch_rows_mean"] = (after[0] - before[0]) / batches if batches else 0.0
-        return result, tracer.spans
+        return result, recorder.spans
 
     def _batch_totals(self) -> Tuple[float, int]:
         for row in self.service.model_server.models():
@@ -738,6 +787,11 @@ def run(name: str, seed: int, seconds: float, trace: bool, workdir: str) -> Tupl
 
 
 if __name__ == "__main__":
-    # The serve-http promotion fixture: python3 -m workloads promote SPEC_JSON WORKDIR ZOO_ROOT NAME
-    _command, spec_json, fixture_workdir, fixture_zoo, fixture_name = sys.argv[1:]
-    print(promote_searched_child(RunSpec.from_json(spec_json), fixture_workdir, fixture_zoo, fixture_name))
+    # The work that runs in a fresh interpreter (see ``child``):
+    #   python3 -m workloads promote SPEC_JSON WORKDIR ZOO_ROOT NAME
+    #   python3 -m workloads probe INPUTS_PICKLE PART
+    if sys.argv[1] == "promote":
+        spec_json, fixture_workdir, fixture_zoo, fixture_name = sys.argv[2:]
+        print(promote_searched_child(RunSpec.from_json(spec_json), fixture_workdir, fixture_zoo, fixture_name))
+    else:
+        print(json.dumps(probe_children(sys.argv[2], int(sys.argv[3]))))
