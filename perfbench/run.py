@@ -2,7 +2,7 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload search-train --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload search-train --seed 1 --seconds 12 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics listed in ``BENCHMARK.json``;
 ``--trace 1`` additionally repeats the work with spans around the layers'

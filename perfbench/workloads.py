@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+import hostspeed
 import loadgen
 import spans as tracing
 from repro.api.registry import get_strategy
@@ -43,7 +44,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 NPROC = os.cpu_count() or 1
 FIXTURE_TIMEOUT_S = 150
-MIN_REPEATS = 2
+# Searches per measured pass at least; episodes_per_s is their pooled rate.
+MIN_REPEATS = 3
 MAX_MEASURE_S = 120.0
 # The benchmark seed picks the data; the controller's seed is fixed.  A fixed
 # search seed makes the controller sample similar children whatever the
@@ -53,21 +55,28 @@ SEARCH_SEED = 0
 # Set-up-only repetitions added to the set-ups the measured searches do, so
 # setup_s is a median of several samples even when few searches fit.
 EXTRA_SETUPS = 7
-# Requests per probe of the searched children: twenty samples beyond the p99.
-PROBE_REQUESTS = 2000
+# Requests per probe of the searched children: thirty samples beyond the
+# p99.  Run for run on six seeds, the p99 spread 0.18 with 2000 requests
+# over 4 interpreters and 0.09 with 4000 over 2; 4000 took 4 s more a run
+# than the time for all the benchmark's runs allows.
+PROBE_REQUESTS = 3000
 # The probe's children: the first wave of 4, sampled before any reward.
 PROBE_CHILDREN = 4
 # The probe's requests are split over this many fresh interpreters, one
 # after another: from process to process the predict speed lands on one of
 # two levels (with address randomisation off it did not, so the layout is
-# the suspect).
-PROBE_PROCESSES = 8
+# the suspect).  Each interpreter costs about 0.7 s to start.
+PROBE_PROCESSES = 2
+# The probe divides each block of this many consecutive requests by the
+# host's slowdown around the block (see probe_children).
+PROBE_BLOCK = 50
 # serve-http's /healthz calls per connection before the closed loop.
 HEALTHZ_PER_CONNECTION = 20
-# The closed loop's keep-alive connections: the 16 clients of
-# benchmarks/bench_serving.py's closed loop, fixed so that results compare
-# across hosts.
-CONNECTIONS = 16
+# The closed loop's keep-alive connections, fixed so that results compare
+# across hosts.  benchmarks/bench_serving.py drives 16, but on a 2-core host
+# 16 client and 16 handler threads measured the scheduler: predict_p99_ms
+# spread 0.28-0.52 of its median across ten seeds, against 0.02 with 4.
+CONNECTIONS = 4
 # Requests are 1 or 8 validation images.  Single rows are what
 # bench_serving.py's clients send, 8 rows its block of inputs.  The share of
 # 8-row requests is an assumption, not a measured traffic profile: chosen
@@ -76,6 +85,9 @@ CONNECTIONS = 16
 MULTI_ROW_SHARE = 0.25
 REQUEST_POOL = 256
 SERVE_SETUPS = 15
+# serve-http's fixture runs this many searches through the run service and
+# promotes the first one's best child; episodes_per_s is their pooled rate.
+PROMOTION_SEARCHES = 4
 
 
 # -- results ------------------------------------------------------------------------
@@ -115,8 +127,8 @@ def child(*args: str) -> str:
 
 
 # -- peak memory of the process tree -------------------------------------------------
-def _resident_bytes(pid: int) -> int:
-    """Proportional set size: pages shared with forked workers count once."""
+def _proportional_bytes(pid: int) -> int:
+    """Proportional set size: pages shared with other processes count once in all."""
     try:
         with open(f"/proc/{pid}/smaps_rollup", "r", encoding="ascii") as handle:
             for line in handle:
@@ -125,6 +137,27 @@ def _resident_bytes(pid: int) -> int:
     except (OSError, ValueError, IndexError):
         pass
     return 0
+
+
+def _high_water_bytes(pid: int) -> int:
+    """The kernel's peak resident set size of ``pid`` (VmHWM); 0 once it is gone."""
+    try:
+        with open(f"/proc/{pid}/status", "r", encoding="ascii") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return 0
+
+
+def _reset_high_water() -> None:
+    """Restart this process's VmHWM from its current resident set."""
+    try:
+        with open("/proc/self/clear_refs", "w", encoding="ascii") as handle:
+            handle.write("5")
+    except OSError:
+        pass
 
 
 def _children(pid: int) -> List[int]:
@@ -158,39 +191,51 @@ def release_free_heap() -> None:
 
 
 class PeakRss:
-    """Samples the resident memory of this process and its descendants."""
+    """Peak resident memory of this process plus its descendants.
 
-    def __init__(self, interval: float = 0.02):
+    This process's part is the kernel's own high-water mark (VmHWM), reset
+    on entry and read on exit.  The descendants' part is the largest sum of
+    their proportional set sizes over polls every ``interval`` seconds.
+    Polling this process's proportional set size (``smaps_rollup``) every
+    20 ms instead walked its page tables under the memory-map lock and
+    slowed search-train by a quarter, unevenly; summing the workers'
+    high-water marks instead depended on which worker drew which child.
+    """
+
+    def __init__(self, interval: float = 0.2):
         self.interval = interval
         self.peak = 0
         # Processes (and their descendants) left out of the sum.
         self.skip: set = set()
+        self._descendants = 0
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._loop, name="perfbench-rss", daemon=True)
 
-    def _sample(self) -> None:
-        total, pending = 0, [os.getpid()]
+    def _poll(self) -> None:
+        total, pending = 0, _children(os.getpid())
         while pending:
             pid = pending.pop()
             if pid in self.skip:
                 continue
-            total += _resident_bytes(pid)
+            total += _proportional_bytes(pid)
             pending.extend(_children(pid))
-        self.peak = max(self.peak, total)
+        self._descendants = max(self._descendants, total)
 
     def _loop(self) -> None:
         while not self._stop.wait(self.interval):
-            self._sample()
+            self._poll()
 
     def __enter__(self) -> "PeakRss":
-        self._sample()
+        _reset_high_water()
+        self._poll()
         self._thread.start()
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self._stop.set()
         self._thread.join()
-        self._sample()
+        self._poll()
+        self.peak = _high_water_bytes(os.getpid()) + self._descendants
 
     @property
     def megabytes(self) -> float:
@@ -204,9 +249,11 @@ class SearchRun:
     run_s: float
     episodes: int
     digest: str
-    engine: SearchEngine
+    engine: Optional[SearchEngine]
     history: Any
     validation: Any
+    # The host's slowdown while the search ran (see hostspeed).
+    slowdown: float = 1.0
 
 
 def history_digest(history: Any) -> str:
@@ -346,13 +393,22 @@ class SearchWorkload:
             # it freed: a pool forks its workers from this process.
             release_free_heap()
             start = time.perf_counter()
-            with PeakRss() as rss:
-                runs.append(run_search(self.next_spec()))
+            (run, rss), slowdown = hostspeed.SEARCH.on_host(self._search_once)
             searching += time.perf_counter() - start
+            run.slowdown = slowdown
             peaks.append(rss.peak)
+            if not self.check_search(run, result):
+                result.failed += run.episodes
+            if probe and not runs:
+                inputs = self._probe_inputs(run)
+            # Keep the digest, not the engine: holding every repeat's engine
+            # grew search-gated's peak by 7.5 MB a search.
+            run.engine = run.validation = None
+            if runs:
+                run.history = None
+            runs.append(run)
             if probe:
                 if len(runs) == 1:
-                    inputs = self._probe_inputs(runs[0])
                     # Spread the parts over the searches this run will make,
                     # so that the probe meets the host as the searches do.
                     expected = max(MIN_REPEATS, int(seconds * len(runs) / searching))
@@ -364,21 +420,28 @@ class SearchWorkload:
             # Stop before a repeat that would overrun ``seconds``.
             if len(runs) >= MIN_REPEATS and (searching * (len(runs) + 1) / len(runs) > seconds or searching > MAX_MEASURE_S):
                 break
-        setups = [run.setup_s for run in runs]
-        with PeakRss() as rss:
-            for _ in range(EXTRA_SETUPS if max_repeats is None else 0):
-                setups.append(set_up(self.spec)[3])
-        peaks.append(rss.peak)
+        # Times are divided by the host's slowdown while they were taken.
+        setups = [run.setup_s / run.slowdown for run in runs]
+        for _ in range(EXTRA_SETUPS if max_repeats is None else 0):
+            seconds_taken, slowdown = hostspeed.SEARCH.on_host(lambda: set_up(self.spec)[3])
+            setups.append(seconds_taken / slowdown)
 
-        rates = [run.episodes / run.run_s for run in runs]
+        rates = [run.episodes / run.run_s * run.slowdown for run in runs]
         result.metrics["setup_s"] = statistics.median(setups)
-        result.metrics["episodes_per_s"] = statistics.median(rates)
+        # Pooled over the searches rather than a median of their rates: the
+        # host's speed wanders within a run, and the total absorbs that
+        # wander where a median of a handful of searches jumped with it.
+        result.metrics["episodes_per_s"] = sum(run.episodes for run in runs) / sum(
+            run.run_s / run.slowdown for run in runs
+        )
         result.metrics["peak_rss_mb"] = max(peaks) / 2**20
         result.notes.update(
+            peak_rss_mb_by_search=[peak / 2**20 for peak in peaks],
             searches=len(runs),
             episodes_per_search=self.episodes,
             setup_samples=len(setups),
             episodes_per_s_by_search=rates,
+            host_slowdown_by_search=[run.slowdown for run in runs],
         )
 
         # Output checks: the search decides identically every time.
@@ -390,15 +453,18 @@ class SearchWorkload:
             runs[0].digest[:16],
         ):
             result.failed += sum(run.episodes for run in runs[1:])
-        for run in runs:
-            if not self.check_search(run, result):
-                result.failed += run.episodes
         result.histories = [runs[0].history]
         if probe:
             while len(parts) < PROBE_PROCESSES:
                 parts.append(json.loads(child("probe", inputs, str(len(parts)))))
             self._probe_metrics(parts, result)
         return result
+
+    def _search_once(self) -> Tuple[SearchRun, PeakRss]:
+        build_spec = self.next_spec()
+        with PeakRss() as rss:
+            run = run_search(build_spec)
+        return run, rss
 
     # -- predictions of the searched child -------------------------------------------
     def _probe_inputs(self, run: SearchRun) -> str:
@@ -431,10 +497,11 @@ class SearchWorkload:
         latencies = [value for part in parts for value in part["latencies_s"]]
         result.attempted += len(latencies)
         result.failed += sum(part["failed"] for part in parts)
-        result.metrics["predict_rows_per_s"] = sum(part["rows"] for part in parts) / sum(part["wall_s"] for part in parts)
+        result.metrics["predict_rows_per_s"] = sum(part["rows"] for part in parts) / sum(latencies)
         result.metrics["predict_p50_ms"] = 1e3 * percentile(latencies, 0.50)
         result.metrics["predict_p99_ms"] = 1e3 * percentile(latencies, 0.99)
         result.notes["predict_samples"] = len(latencies)
+        result.notes["host_slowdown_by_probe_part"] = [statistics.median(part["slowdowns"]) for part in parts]
         result.notes["predict_source"] = f"Trainer.predict of {PROBE_CHILDREN} first-wave children"
 
     # -- the traced pass --------------------------------------------------------------
@@ -452,7 +519,13 @@ class SearchWorkload:
 
 
 class SearchTrain(SearchWorkload):
-    """Float64 serial searches in which every child trains."""
+    """Float64 serial searches in which every child trains.
+
+    Two waves of 4: short searches, so that a run pools its rate over
+    several of them.
+    """
+
+    episodes = 8
 
     def spec(self) -> RunSpec:
         return train_spec(self.seed, self.episodes)
@@ -496,7 +569,7 @@ class SearchGated(SearchWorkload):
     second; each measured search starts from a fresh copy of the pre-fill.
     """
 
-    episodes = 256
+    episodes = 128
 
     def spec(self, store_root: Optional[str] = None, run_dir: Optional[str] = None, episodes: Optional[int] = None) -> RunSpec:
         return search_spec(
@@ -548,9 +621,16 @@ def probe_children(path: str, part: int) -> Dict[str, Any]:
     """Time float32 ``Trainer.predict`` of the children pickled at ``path``.
 
     This process answers every PROBE_PROCESSES-th request, from ``part``
-    on; each request goes to the next child in turn.  Weights are the
+    on.  Requests of each size go to the children in turn, so every child
+    answers the same number of 8-row requests whatever the seed's order;
+    the p99 then always falls among the largest child's 8-row requests,
+    where with plain turns it moved from run to run.  Weights are the
     children's initial ones: inference time does not depend on them.  A
     1-row and an 8-row predict on each child warm the buffers first.
+
+    Each block of PROBE_BLOCK requests runs between two passes of the
+    ``hostspeed.PREDICT`` reference, and its latencies are divided by the
+    host's slowdown around it.
     """
     with open(path, "rb") as handle:
         inputs = pickle.load(handle)
@@ -565,35 +645,61 @@ def probe_children(path: str, part: int) -> Dict[str, Any]:
         for size in (1, 8):
             trainer.predict(model, inputs["images"][:size], batch_size=size)
     requests = request_rows(inputs["images"], inputs["seed"], PROBE_REQUESTS)
+    seen: Dict[int, int] = {}
+    child_of = []
+    for rows in requests:
+        seen[rows.shape[0]] = seen.get(rows.shape[0], 0) + 1
+        child_of.append(seen[rows.shape[0]] % len(models))
+    mine = list(range(part, len(requests), PROBE_PROCESSES))
     latencies: List[float] = []
+    slowdowns: List[float] = []
     failed = rows_done = 0
-    begin = time.perf_counter()
-    for index in range(part, len(requests), PROBE_PROCESSES):
-        rows = requests[index]
-        start = time.perf_counter()
-        predictions = trainer.predict(models[index % len(models)], rows, batch_size=rows.shape[0])
-        latencies.append(time.perf_counter() - start)
-        if predictions.shape != (rows.shape[0],):
-            failed += 1
-        else:
-            rows_done += rows.shape[0]
-    return {"latencies_s": latencies, "rows": rows_done, "wall_s": time.perf_counter() - begin, "failed": failed}
+    reference = hostspeed.PREDICT.seconds()
+    for first in range(0, len(mine), PROBE_BLOCK):
+        block = []
+        for index in mine[first:first + PROBE_BLOCK]:
+            rows = requests[index]
+            start = time.perf_counter()
+            predictions = trainer.predict(models[child_of[index]], rows, batch_size=rows.shape[0])
+            block.append(time.perf_counter() - start)
+            if predictions.shape != (rows.shape[0],):
+                failed += 1
+            else:
+                rows_done += rows.shape[0]
+        previous, reference = reference, hostspeed.PREDICT.seconds()
+        slowdowns.append(hostspeed.PREDICT.slowdown(previous, reference))
+        latencies.extend(took / slowdowns[-1] for took in block)
+    return {"latencies_s": latencies, "rows": rows_done, "failed": failed, "slowdowns": slowdowns}
 
 
-def promote_searched_child(spec: RunSpec, workdir: str, zoo_root: str, name: str) -> float:
-    """Run a search through the run service, promote its best child; episodes/s."""
+def promote_searched_child(spec: RunSpec, workdir: str, zoo_root: str, name: str) -> Tuple[List[float], List[float]]:
+    """Run PROMOTION_SEARCHES searches through the run service, one after
+    another, and promote the first one's best child.
+
+    Returns each search's episodes/s, scaled by the host's slowdown while
+    it ran (see :mod:`hostspeed`), and those slowdowns.
+    """
     from repro.serving.registry import ZooRegistry
     from repro.service import RunClient
 
     runs_root = os.path.join(workdir, "promotion-runs")
     client = RunClient.local(runs_root=runs_root, max_workers=1)
-    try:
+    rates, slowdowns, run_ids = [], [], []
+
+    def search() -> Tuple[Any, Any]:
         handle = client.submit(spec)
-        report = handle.result(timeout=600)
+        return handle, handle.result(timeout=600)
+
+    try:
+        for _ in range(PROMOTION_SEARCHES):
+            (handle, report), slowdown = hostspeed.SEARCH.on_host(search)
+            rates.append(len(report.history.records) / report.history.total_seconds * slowdown)
+            slowdowns.append(slowdown)
+            run_ids.append(handle.run_id)
     finally:
         client.executor.shutdown(wait=True)
-    ZooRegistry(zoo_root).promote_run(runs_root, handle.run_id, name=name)
-    return len(report.history.records) / report.history.total_seconds
+    ZooRegistry(zoo_root).promote_run(runs_root, run_ids[0], name=name)
+    return rates, slowdowns
 
 
 class ServeHttp:
@@ -601,7 +707,7 @@ class ServeHttp:
 
     model = "bench"
     predict_path = f"/models/{model}/predict"
-    episodes = 16
+    episodes = SearchTrain.episodes
 
     def __init__(self, seed: int, workdir: str):
         self.seed = seed
@@ -609,7 +715,7 @@ class ServeHttp:
         self.service = None
 
     def prepare(self) -> None:
-        """Untimed fixture: a short float64 search, then promotion of its best child.
+        """Untimed fixture: short float64 searches, then promotion of a best child.
 
         It runs in a child interpreter (``python3 -m workloads promote``),
         so the serving process's memory peak is the daemon's and not left
@@ -619,7 +725,11 @@ class ServeHttp:
 
         self.zoo_root = os.path.join(self.workdir, "zoo")
         spec = train_spec(self.seed, self.episodes)
-        self.search_rate = float(child("promote", spec.to_json(), self.workdir, self.zoo_root, self.model))
+        self.search_rates, self.search_slowdowns = json.loads(
+            child("promote", spec.to_json(), self.workdir, self.zoo_root, self.model)
+        )
+        # Pooled as in SearchWorkload.measure: episodes are equal per search.
+        self.search_rate = len(self.search_rates) / sum(1.0 / rate for rate in self.search_rates)
 
         model, _descriptor, _entry = ZooRegistry(self.zoo_root).load_model(self.model)
         model.astype("float32")
@@ -653,20 +763,25 @@ class ServeHttp:
     def _connect(self):
         return http.client.HTTPConnection(self.service.host, self.service.port, timeout=60)
 
+    def _setup_once(self) -> Tuple[int, bytes, float]:
+        start = time.perf_counter()
+        self.service = self._start()
+        connection = self._connect()
+        try:
+            status, payload, _seconds, connection = loadgen.exchange(
+                connection, "POST", self.predict_path, self.first_body
+            )
+        finally:
+            connection.close()
+        return status, payload, time.perf_counter() - start
+
     def setup(self) -> List[float]:
-        """Daemon start + first predict (which loads the zoo entry), several times."""
+        """Daemon start + first predict (which loads the zoo entry), several
+        times; each divided by the host's slowdown while it ran."""
         samples = []
         for index in range(SERVE_SETUPS):
-            start = time.perf_counter()
-            self.service = self._start()
-            connection = self._connect()
-            try:
-                status, payload, _seconds, connection = loadgen.exchange(
-                    connection, "POST", self.predict_path, self.first_body
-                )
-            finally:
-                connection.close()
-            samples.append(time.perf_counter() - start)
+            (status, payload, seconds_taken), slowdown = hostspeed.SEARCH.on_host(self._setup_once)
+            samples.append(seconds_taken / slowdown)
             if status != 200:
                 raise RuntimeError(f"first predict answered {status}: {payload[:200]!r}")
             if index < SERVE_SETUPS - 1:
@@ -735,7 +850,12 @@ class ServeHttp:
         setups = self.setup()
         result.metrics["setup_s"] = statistics.median(setups)
         result.metrics["episodes_per_s"] = self.search_rate
-        result.notes.update(setup_samples=len(setups), episodes_per_s_source="the promotion search")
+        result.notes.update(
+            setup_samples=len(setups),
+            episodes_per_s_source=f"pooled over the fixture's {PROMOTION_SEARCHES} searches",
+            episodes_per_s_by_search=self.search_rates,
+            host_slowdown_by_search=self.search_slowdowns,
+        )
         self.closed_loop(seconds, result)
         return result
 
@@ -792,6 +912,6 @@ if __name__ == "__main__":
     #   python3 -m workloads probe INPUTS_PICKLE PART
     if sys.argv[1] == "promote":
         spec_json, fixture_workdir, fixture_zoo, fixture_name = sys.argv[2:]
-        print(promote_searched_child(RunSpec.from_json(spec_json), fixture_workdir, fixture_zoo, fixture_name))
+        print(json.dumps(promote_searched_child(RunSpec.from_json(spec_json), fixture_workdir, fixture_zoo, fixture_name)))
     else:
         print(json.dumps(probe_children(sys.argv[2], int(sys.argv[3]))))
