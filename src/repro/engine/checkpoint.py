@@ -4,11 +4,16 @@ A checkpoint captures everything a search needs to continue bit-for-bit from
 a batch boundary:
 
 * controller weights and the Adam moment estimates of the policy trainer
-  (``checkpoint.npz``, via :mod:`repro.utils.serialization`),
+  (``checkpoint.npz``, an uncompressed numpy archive),
 * the reward baseline, both RNG streams (controller sampling and child
   weight initialisation), the full :class:`~repro.core.results.SearchHistory`,
   the in-memory evaluation-cache entries and the next episode index
-  (``checkpoint.json``).
+  (``checkpoint.json``, compact one-line JSON with sorted keys).
+
+A checkpoint re-serialises the whole history and cache, so both files are
+written by single C-level calls (``np.savez``, ``json.dumps``) rather than
+per-value Python passes.  Checkpoints written with indented JSON and a
+compressed archive load the same way.
 
 Checkpoints embed the engine's evaluation-context fingerprint; restoring
 into a search with a different dataset / reward / training configuration is
@@ -17,6 +22,7 @@ refused rather than silently producing a diverged run.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -33,12 +39,7 @@ from repro.engine.serde import (
     rng_state_from_dict,
     rng_state_to_dict,
 )
-from repro.utils.serialization import (
-    load_json,
-    load_state_dict,
-    save_json,
-    save_state_dict,
-)
+from repro.utils.serialization import load_json, load_state_dict
 
 CHECKPOINT_JSON = "checkpoint.json"
 CHECKPOINT_NPZ = "checkpoint.npz"
@@ -73,6 +74,13 @@ def has_checkpoint(run_dir: str) -> bool:
     return os.path.exists(json_path) and os.path.exists(npz_path)
 
 
+def _json_scalar(value: Any) -> Any:
+    """``json.dumps`` hook: a numpy scalar or array becomes Python values."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def save_checkpoint(
     run_dir: str,
     *,
@@ -100,24 +108,25 @@ def save_checkpoint(
         arrays[f"adam_m__{index}"] = m
         arrays[f"adam_v__{index}"] = v
 
-    json_path, npz_path = checkpoint_paths(run_dir)
-    save_state_dict(npz_path, arrays)
-    save_json(
-        json_path,
-        {
-            "version": CHECKPOINT_VERSION,
-            "next_episode": next_episode,
-            "context_key": context_key,
-            "baseline": policy_state["baseline"],
-            "adam_step": policy_state["optimizer"]["step"],
-            "rng": {
-                "sample": rng_state_to_dict(sample_rng),
-                "child": rng_state_to_dict(child_rng),
-            },
-            "history": history_to_dict(history),
-            "cache": cache.snapshot() if cache is not None else [],
+    payload = {
+        "version": CHECKPOINT_VERSION,
+        "next_episode": next_episode,
+        "context_key": context_key,
+        "baseline": policy_state["baseline"],
+        "adam_step": policy_state["optimizer"]["step"],
+        "rng": {
+            "sample": rng_state_to_dict(sample_rng),
+            "child": rng_state_to_dict(child_rng),
         },
-    )
+        "history": history_to_dict(history),
+        "cache": cache.snapshot() if cache is not None else [],
+    }
+    text = json.dumps(payload, sort_keys=True, default=_json_scalar)
+    json_path, npz_path = checkpoint_paths(run_dir)
+    os.makedirs(run_dir, exist_ok=True)
+    np.savez(npz_path, **arrays)
+    with open(json_path, "w", encoding="utf-8") as handle:
+        handle.write(text)
     return json_path
 
 

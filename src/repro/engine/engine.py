@@ -18,8 +18,10 @@ scaling features the seed loop lacked:
 2. **Content-addressed memoization.**  With a cache configured, each sampled
    child is fingerprinted (descriptor ``cache_key()`` + evaluation context)
    before any model is built; repeats return the memoized result without
-   training.  A cache-hit episode still consumes one child-RNG draw so the
-   stream stays aligned with an uncached run.
+   training.  Cache misses are priced against the gates from the same
+   descriptor, so a rejected child is never built either.  Every episode
+   that builds no model still consumes one child-RNG draw, so the stream
+   stays aligned with a run that builds every child.
 
 3. **Checkpoint/resume.**  With a ``run_dir`` configured, the engine
    snapshots controller weights, optimiser/baseline state, both RNG streams,
@@ -196,13 +198,17 @@ class _EpisodeJob:
     sample: ControllerSample
     descriptor: ArchitectureDescriptor
     cache_key: Optional[str] = None
+    # The gates' verdict on the descriptor; ``child`` stays None for children
+    # that will not train (cache hits, gate rejections, intra-wave repeats).
+    pricing: Optional[PricingReport] = None
     child: Optional[ChildArchitecture] = None
+    # An intra-wave repeat's first occurrence, whose evaluation it shares.
+    primary: Optional["_EpisodeJob"] = None
     evaluation: Optional[EvaluationResult] = None
     cache_hit: bool = False
     worker: str = ""
     elapsed_seconds: float = 0.0
     # Staged-pipeline state (multi-fidelity runs only).
-    pricing: Optional[PricingReport] = None
     initial_weights: Optional[Dict[str, Any]] = None
     stage_result: Optional[EvaluationResult] = None
     stage_cached: bool = False
@@ -210,28 +216,7 @@ class _EpisodeJob:
     stages: List[str] = field(default_factory=list)
 
 
-def _evaluate_payload(
-    payload: Tuple[Optional[ChildEvaluator], ChildArchitecture],
-) -> Tuple[EvaluationResult, float, float]:
-    """Worker task: evaluate one child (module-level so it pickles).
-
-    ``evaluator`` is None when the pool shipped it to the worker process once
-    at startup (``EngineConfig.share_evaluator``); it is then read back from
-    the worker's shared slot instead of travelling with every task.  Returns
-    ``(result, elapsed_seconds, wall_start)`` -- the wall-clock start lets
-    the engine record the training as a tracer span on the worker's own
-    timeline, which is what makes a trace show the wave's real parallelism.
-    """
-    evaluator, child = payload
-    if evaluator is None:
-        evaluator = workers_module.process_shared()
-    wall_start = time.time()  # repro-lint: disable=DET001 -- telemetry wall-clock timestamp surfaced in events; never enters results or cache keys
-    start = time.perf_counter()
-    result = evaluator.evaluate(child)
-    return result, time.perf_counter() - start, wall_start
-
-
-def _evaluate_stage_payload(
+def _train_payload(
     payload: Tuple[
         Optional[ChildEvaluator],
         ChildArchitecture,
@@ -240,13 +225,22 @@ def _evaluate_stage_payload(
         Optional[Dict[str, Any]],
     ],
 ) -> Tuple[EvaluationResult, float, float]:
-    """Worker task: train one child at one fidelity stage (staged runs).
+    """Worker task: train and score one child at one fidelity stage.
 
-    ``initial_weights`` is the snapshot taken before the child's first stage;
-    restoring it makes every stage train from the same initial weights
-    regardless of backend (in-process pools mutate the parent's model, the
-    process pool trains a pickled copy).  Returns
-    ``(result, elapsed_seconds, wall_start)`` like :func:`_evaluate_payload`."""
+    The engine priced the child before building it, so ``pricing`` travels
+    with the task and the worker never prices again.  ``evaluator`` is None
+    when the pool shipped it to the worker process once at startup
+    (``EngineConfig.share_evaluator``); it is then read back from the
+    worker's shared slot instead of travelling with every task.
+
+    ``initial_weights`` is the snapshot taken before a staged child's first
+    stage; restoring it makes every stage train from the same initial
+    weights regardless of backend (in-process pools mutate the parent's
+    model, the process pool trains a pickled copy).  Returns
+    ``(result, elapsed_seconds, wall_start)`` -- the wall-clock start lets
+    the engine record the training as a tracer span on the worker's own
+    timeline, which is what makes a trace show the wave's real parallelism.
+    """
     evaluator, child, fidelity_name, pricing, initial_weights = payload
     if evaluator is None:
         evaluator = workers_module.process_shared()
@@ -777,7 +771,13 @@ class SearchEngine:
 
     # -- wave phases --------------------------------------------------------------
     def _sample_wave(self, wave: int) -> List[_EpisodeJob]:
-        """Sample/produce ``wave`` children in strict episode order.
+        """Sample ``wave`` children in strict episode order; build those that train.
+
+        Every child that needs an evaluation is priced against the gates from
+        its descriptor before any model is built -- the paper's "price before
+        train" -- and only the children that pass are built.  Single-fidelity
+        waves first look each child up in the cache: hits and intra-wave
+        repeats are neither priced nor built, since they never train.
 
         In staged (multi-fidelity) runs the per-child cache lookups happen at
         each fidelity stage instead of here: an episode's final result then
@@ -785,19 +785,20 @@ class SearchEngine:
         would make cached and uncached runs diverge.
         """
         search = self.search
+        pipeline = self.pipeline
+        lookup = self.cache is not None and not self.staged
         jobs: List[_EpisodeJob] = []
+        first: Dict[str, _EpisodeJob] = {}
         for offset in range(wave):
             episode = self._next_episode + offset
             sample = search.controller.sample(rng=search._sample_rng)
             descriptor = search.producer.describe_child(sample.decisions)
             job = _EpisodeJob(episode=episode, sample=sample, descriptor=descriptor)
-            if self.cache is not None and not self.staged:
+            jobs.append(job)
+            if lookup:
                 job.cache_key = self.child_cache_key(descriptor)
                 cached = self.cache.get(job.cache_key)
                 if cached is not None:
-                    # Burn the draw produce() would have made so the child-RNG
-                    # stream stays aligned with a cache-off run.
-                    search._child_rng.integers(0, 2**31 - 1)
                     job.evaluation = cached
                     job.cache_hit = True
                     job.worker = "cache"
@@ -806,41 +807,58 @@ class SearchEngine:
                         episode=episode,
                         payload={"key": job.cache_key, "reward": cached.reward},
                     )
-                    jobs.append(job)
+                    self._skip_child_build()
                     continue
+                job.primary = first.get(job.cache_key)
+                if job.primary is not None:
+                    self._skip_child_build()
+                    continue
+                first[job.cache_key] = job
+            job.pricing = pipeline.price(descriptor)
+            if not job.pricing.passed and pipeline.bypass_invalid:
+                self._skip_child_build()
+                continue
             job.child = search.producer.produce(sample.decisions, rng=search._child_rng)
-            jobs.append(job)
         return jobs
 
-    def _evaluate_wave(self, jobs: List[_EpisodeJob], pool: WorkerPool) -> None:
-        """Evaluate the wave's cache misses concurrently, in episode order.
+    def _skip_child_build(self) -> None:
+        """Burn the one child-RNG draw produce() would have made.
 
-        When caching is on, duplicate children *within* one wave train only
-        once: the first occurrence is evaluated and the repeats share its
-        result, exactly as they would have hit the cache with wave size 1.
-        (With caching off every child trains, matching the sequential loop.)
+        Every episode draws exactly once, built or not, so the stream -- and
+        with it every later child's initial weights -- stays aligned with a
+        run that builds every child.
         """
+        self.search._child_rng.integers(0, 2**31 - 1)
+
+    def _evaluate_wave(self, jobs: List[_EpisodeJob], pool: WorkerPool) -> None:
+        """Evaluate the wave's cache misses, in episode order.
+
+        Children that failed a gate at sampling take their rejection result
+        here, without reaching the pool; the rest train concurrently.  Both
+        count toward ``evaluations_run`` and are cached.  When caching is on,
+        duplicate children *within* one wave are evaluated only once: a
+        repeat, which :meth:`_sample_wave` pointed at its first occurrence,
+        shares that result, exactly as it would have hit the cache with wave
+        size 1.  (With caching off every child is evaluated, matching the
+        sequential loop.)
+        """
+        pipeline = self.pipeline
         pending = [job for job in jobs if job.evaluation is None]
-        first_by_key: Dict[str, _EpisodeJob] = {}
-        unique: List[_EpisodeJob] = []
-        for job in pending:
-            if job.cache_key is not None and job.cache_key in first_by_key:
-                continue
-            if job.cache_key is not None:
-                first_by_key[job.cache_key] = job
-            unique.append(job)
-        if unique:
-            # Pools that shipped the evaluator at startup get child-only
-            # payloads; the worker reads the evaluator from its shared slot.
+        unique = [job for job in pending if job.primary is None]
+        training = [job for job in unique if job.child is not None]
+        if training:
+            # Pools that shipped the evaluator at startup get payloads
+            # without it; the worker reads it from its shared slot.
             evaluator = None if pool.uses_shared else self.search.evaluator
-            payloads = [(evaluator, job.child) for job in unique]
-            results = pool.map_ordered(_evaluate_payload, payloads)
-            for job, ((evaluation, elapsed, started), worker) in zip(unique, results):
+            fidelity = pipeline.final_fidelity.name
+            payloads = [
+                (evaluator, job.child, fidelity, job.pricing, None) for job in training
+            ]
+            results = pool.map_ordered(_train_payload, payloads)
+            for job, ((evaluation, elapsed, started), worker) in zip(training, results):
                 job.evaluation = evaluation
                 job.worker = worker
                 job.elapsed_seconds = elapsed
-                self.evaluations_run += 1
-                self._m_evaluations.labels(fidelity=evaluation.fidelity).inc()
                 self.tracer.record(
                     "train",
                     start=started,
@@ -848,16 +866,22 @@ class SearchEngine:
                     tid=worker,
                     episode=job.episode,
                 )
-                if evaluation.trained:
-                    self.evaluations_by_fidelity[evaluation.fidelity] = (
-                        self.evaluations_by_fidelity.get(evaluation.fidelity, 0) + 1
-                    )
-                if self.cache is not None and job.cache_key is not None:
-                    self.cache.put(job.cache_key, evaluation)
+        for job in unique:
+            if job.evaluation is None:  # rejected by a gate at sampling
+                job.evaluation = pipeline.rejection_result(job.pricing)
+                job.worker = "gate"
+            evaluation = job.evaluation
+            self.evaluations_run += 1
+            self._m_evaluations.labels(fidelity=evaluation.fidelity).inc()
+            if evaluation.trained:
+                self.evaluations_by_fidelity[evaluation.fidelity] = (
+                    self.evaluations_by_fidelity.get(evaluation.fidelity, 0) + 1
+                )
+            if self.cache is not None and job.cache_key is not None:
+                self.cache.put(job.cache_key, evaluation)
         for job in pending:
-            if job.evaluation is None:  # an intra-wave repeat
-                primary = first_by_key[job.cache_key]
-                job.evaluation = primary.evaluation
+            if job.primary is not None:
+                job.evaluation = job.primary.evaluation
                 job.cache_hit = True
                 job.worker = "cache"
                 self._emit(
@@ -870,13 +894,14 @@ class SearchEngine:
     def _evaluate_wave_staged(self, jobs: List[_EpisodeJob], pool: WorkerPool) -> None:
         """Drive one wave through gates and the fidelity ladder.
 
-        Gate stages run in the engine (pricing needs only the descriptor and
-        the offline latency table), so gate rejections never reach a worker
-        and do not count toward ``evaluations_run`` -- unlike the
-        single-stage path, where the worker prices (and counts) them.  Each
-        fidelity stage trains the current survivors on the worker pool, then
-        promotes the top ``promote_fraction`` of the wave's valid children to
-        the next stage.
+        :meth:`_sample_wave` priced every child (pricing needs only the
+        descriptor and the offline latency table) and built only those that
+        passed; here the rejections take their result without reaching a
+        worker, and do not count toward ``evaluations_run`` -- unlike the
+        single-stage path, which counts them as evaluations.  Each fidelity
+        stage trains the current survivors on the worker pool, then promotes
+        the top ``promote_fraction`` of the wave's valid children to the
+        next stage.
         Children that stop early keep their proxy-stage result as the
         episode's reward -- the staged generalisation of the paper's "price
         before train" refusal.  Cache lookups are per (child, fidelity), so
@@ -886,8 +911,7 @@ class SearchEngine:
         survivors: List[_EpisodeJob] = []
         with self.tracer.span("gates"):
             for job in jobs:
-                pricing = pipeline.price(job.descriptor)
-                job.pricing = pricing
+                pricing = job.pricing
                 if not pricing.passed and pipeline.bypass_invalid:
                     job.evaluation = pipeline.rejection_result(pricing)
                     job.stages = [
@@ -1031,7 +1055,7 @@ class SearchEngine:
                 )
                 for job in unique
             ]
-            results = pool.map_ordered(_evaluate_stage_payload, payloads)
+            results = pool.map_ordered(_train_payload, payloads)
             for job, ((evaluation, elapsed, started), worker) in zip(unique, results):
                 job.stage_result = evaluation
                 job.stage_worker = worker

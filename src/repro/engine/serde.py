@@ -7,12 +7,18 @@ histories and numpy RNG states -- gets an explicit ``*_to_dict`` /
 ``*_from_dict`` pair here.  Keeping the converters together (rather than as
 methods scattered over core) means the persisted schema is reviewable in one
 place.
+
+The ``*_to_dict`` converters read fields directly rather than through
+``dataclasses.asdict``, whose recursive deep copy dominated the cost of a
+checkpoint; they copy each container field, so they never return the
+objects' own lists and dicts.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
-from typing import Any, Dict
+import functools
+from dataclasses import fields
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -22,6 +28,16 @@ from repro.core.results import EpisodeRecord, SearchHistory
 from repro.zoo.descriptors import ArchitectureDescriptor, HeadSpec
 
 
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _shallow_dict(obj: Any) -> Dict[str, Any]:
+    """A dataclass's fields as a dict, in field order, values not copied."""
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
+
+
 # -- architecture descriptors ------------------------------------------------------
 def descriptor_to_dict(descriptor: ArchitectureDescriptor) -> Dict[str, Any]:
     """Flatten a descriptor into plain JSON-encodable data."""
@@ -29,10 +45,10 @@ def descriptor_to_dict(descriptor: ArchitectureDescriptor) -> Dict[str, Any]:
         "name": descriptor.name,
         "family": descriptor.family,
         "input_resolution": descriptor.input_resolution,
-        "stem": asdict(descriptor.stem),
-        "blocks": [asdict(block) for block in descriptor.blocks],
-        "head": asdict(descriptor.head),
-        "classifier": asdict(descriptor.classifier),
+        "stem": _shallow_dict(descriptor.stem),
+        "blocks": [_shallow_dict(block) for block in descriptor.blocks],
+        "head": _shallow_dict(descriptor.head),
+        "classifier": _shallow_dict(descriptor.classifier),
     }
 
 
@@ -51,8 +67,8 @@ def descriptor_from_dict(payload: Dict[str, Any]) -> ArchitectureDescriptor:
 
 # -- evaluation results ------------------------------------------------------------
 def result_to_dict(result: EvaluationResult) -> Dict[str, Any]:
-    """Flatten an evaluation result (all scalar fields) into JSON data."""
-    return asdict(result)
+    """Flatten an evaluation result into JSON data."""
+    return {**_shallow_dict(result), "group_accuracy": dict(result.group_accuracy)}
 
 
 def result_from_dict(payload: Dict[str, Any]) -> EvaluationResult:
@@ -76,9 +92,13 @@ def result_from_dict(payload: Dict[str, Any]) -> EvaluationResult:
 # -- episode records / search history ----------------------------------------------
 def record_to_dict(record: EpisodeRecord) -> Dict[str, Any]:
     """Flatten one episode record, inlining its descriptor."""
-    payload = asdict(record)
-    payload["descriptor"] = descriptor_to_dict(record.descriptor)
-    return payload
+    return {
+        **_shallow_dict(record),
+        "descriptor": descriptor_to_dict(record.descriptor),
+        "decisions": list(record.decisions),
+        "group_accuracy": dict(record.group_accuracy),
+        "stages": list(record.stages),
+    }
 
 
 def record_from_dict(payload: Dict[str, Any]) -> EpisodeRecord:

@@ -14,20 +14,37 @@ import pytest
 from repro.blocks.spec import BlockSpec, ClassifierSpec, StemSpec
 from repro.core import FaHaNaConfig, FaHaNaSearch, ProducerConfig
 from repro.core.evaluator import EvaluationResult
+from repro.core.pipeline import FidelityConfig, PipelineSettings
 from repro.core.policy import PolicyGradientConfig
+from repro.core.results import EpisodeRecord, SearchHistory
+from repro.core.reward import INVALID_REWARD
 from repro.engine import (
     EngineConfig,
     EvaluationCache,
     SearchEngine,
     create_pool,
     has_checkpoint,
+    load_checkpoint,
     resolve_engine_config,
+    save_checkpoint,
     set_default_engine_config,
 )
+from repro.engine.checkpoint import checkpoint_paths
 from repro.engine.cli import main as cli_main
-from repro.engine.serde import descriptor_from_dict, descriptor_to_dict
+from repro.engine.serde import (
+    descriptor_from_dict,
+    descriptor_to_dict,
+    record_to_dict,
+    result_to_dict,
+)
 from repro.hardware.constraints import DesignSpec, HardwareSpec, SoftwareSpec
 from repro.nn.trainer import TrainingConfig
+from repro.utils.serialization import (
+    load_json,
+    load_state_dict,
+    save_json,
+    save_state_dict,
+)
 from repro.zoo.descriptors import ArchitectureDescriptor, HeadSpec
 
 
@@ -168,7 +185,15 @@ class TestWorkerPools:
             create_pool("quantum")
 
 
-def _search(tiny_splits, tiny_backbone, episodes=4, policy_batch=1, seed=0):
+def _search(
+    tiny_splits,
+    tiny_backbone,
+    episodes=4,
+    policy_batch=1,
+    seed=0,
+    timing_constraint_ms=1e6,
+    **config_kwargs,
+):
     config = FaHaNaConfig(
         episodes=episodes,
         seed=seed,
@@ -180,9 +205,10 @@ def _search(tiny_splits, tiny_backbone, episodes=4, policy_batch=1, seed=0):
         ),
         policy=PolicyGradientConfig(batch_episodes=policy_batch),
         child_training=TrainingConfig(epochs=1, batch_size=8, seed=0),
+        **config_kwargs,
     )
     spec = DesignSpec(
-        hardware=HardwareSpec(timing_constraint_ms=1e6),
+        hardware=HardwareSpec(timing_constraint_ms=timing_constraint_ms),
         software=SoftwareSpec(accuracy_constraint=0.0),
     )
     return FaHaNaSearch(tiny_splits.train, tiny_splits.validation, spec, config)
@@ -199,6 +225,33 @@ def _reference_sequential_rewards(search, episodes):
         rewards.append(evaluation.reward)
     search.policy_trainer.apply_update()
     return rewards
+
+
+def _spy_produce(search):
+    """Record the descriptor of every child the producer builds."""
+    built = []
+    original = search.producer.produce
+
+    def produce(decisions, rng=None):
+        child = original(decisions, rng=rng)
+        built.append(child.descriptor)
+        return child
+
+    search.producer.produce = produce
+    return built
+
+
+def _duplicate_samples(search):
+    """Make the controller propose its first sample over and over."""
+    original = search.controller.sample
+    memo = {}
+
+    def duplicated_sample(rng=None, **kwargs):
+        if "sample" not in memo:
+            memo["sample"] = original(rng=rng, **kwargs)
+        return memo["sample"]
+
+    search.controller.sample = duplicated_sample
 
 
 class TestEngineDeterminism:
@@ -322,15 +375,7 @@ class TestEngineCache:
     def test_intra_wave_duplicates_train_once(self, tiny_splits, tiny_backbone):
         search = _search(tiny_splits, tiny_backbone, 2, policy_batch=2)
         # Force the controller to propose the same child twice in one wave.
-        original = search.controller.sample
-        memo = {}
-
-        def duplicated_sample(rng=None, **kwargs):
-            if "sample" not in memo:
-                memo["sample"] = original(rng=rng, **kwargs)
-            return memo["sample"]
-
-        search.controller.sample = duplicated_sample
+        _duplicate_samples(search)
         engine = SearchEngine(search, EngineConfig(use_cache=True, batch_episodes=2))
         result = engine.run()
         assert engine.evaluations_run == 1
@@ -364,6 +409,208 @@ class TestEngineCache:
             keys.append(engine.child_cache_key(descriptor))
         # Different frozen-prefix weights -> different evaluation context.
         assert keys[0] != keys[1]
+
+
+# Falls between the fixture's child latencies (~0.1 s to ~10 s on the default
+# device), so a gated search rejects some children and trains the others.
+# A run that rejects every child could not tell a missing child-RNG draw:
+# the draws only matter to the children that are built.
+GATED_MS = 1500.0
+
+
+class TestPriceBeforeBuild:
+    """Waves price children from their descriptors before building them."""
+
+    episodes = 8
+
+    def _gated(self, tiny_splits, tiny_backbone, **kwargs):
+        return _search(
+            tiny_splits,
+            tiny_backbone,
+            self.episodes,
+            policy_batch=2,
+            timing_constraint_ms=GATED_MS,
+            **kwargs,
+        )
+
+    def test_rejected_children_are_never_built(self, tiny_splits, tiny_backbone):
+        reference_search = self._gated(tiny_splits, tiny_backbone)
+        reference = _reference_sequential_rewards(reference_search, self.episodes)
+
+        search = self._gated(tiny_splits, tiny_backbone)
+        built = _spy_produce(search)
+        engine = SearchEngine(search, EngineConfig(batch_episodes=2))
+        spans = []
+        engine.events.subscribe(spans.append, kinds=["span"])
+        result = engine.run()
+
+        records = result.history.records
+        rejected = [r for r in records if not r.trained]
+        trained = [r for r in records if r.trained]
+        assert rejected and trained, "the constraint must split the children"
+        assert result.history.reward_trajectory() == reference
+        assert (
+            search._child_rng.bit_generator.state
+            == reference_search._child_rng.bit_generator.state
+        )
+        # Exactly the children that trained were built, each within budget.
+        assert [d.cache_key() for d in built] == [
+            r.descriptor.cache_key() for r in trained
+        ]
+        pipeline = search.evaluator.pipeline
+        assert all(pipeline.price(descriptor).passed for descriptor in built)
+        # Rejections still count as evaluations: with the cache off, every
+        # episode is one.
+        assert engine.evaluations_run == self.episodes
+        assert all(r.worker == "gate" for r in rejected)
+        assert all(r.elapsed_seconds == 0.0 for r in rejected)
+        assert all(r.reward == INVALID_REWARD for r in rejected)
+        assert all(r.worker not in ("gate", "cache") for r in trained)
+        train_episodes = {
+            event.episode for event in spans if event.payload["name"] == "train"
+        }
+        assert train_episodes == {r.episode for r in trained}
+
+    def test_cached_run_matches_a_run_that_builds_every_child(
+        self, tiny_splits, tiny_backbone
+    ):
+        # With the gates advisory (bypass_invalid off) the engine builds and
+        # trains every cache-missing child and scores the rejected ones -1
+        # all the same: the counts, rewards and RNG streams must not differ.
+        runs = []
+        for bypass in (True, False):
+            search = self._gated(tiny_splits, tiny_backbone)
+            search.evaluator.config = dataclasses.replace(
+                search.evaluator.config, bypass_invalid=bypass
+            )
+            built = _spy_produce(search)
+            engine = SearchEngine(
+                search, EngineConfig(use_cache=True, batch_episodes=2)
+            )
+            result = engine.run()
+            runs.append((search, engine, result, built))
+        (gated, gated_engine, gated_result, gated_built) = runs[0]
+        (every, every_engine, every_result, every_built) = runs[1]
+
+        assert len(gated_built) < len(every_built)
+        assert gated_engine.evaluations_run == every_engine.evaluations_run
+        assert (gated_engine.cache.hits, gated_engine.cache.misses) == (
+            every_engine.cache.hits,
+            every_engine.cache.misses,
+        )
+        assert (
+            gated_result.history.reward_trajectory()
+            == every_result.history.reward_trajectory()
+        )
+        assert [r.cache_hit for r in gated_result.history.records] == [
+            r.cache_hit for r in every_result.history.records
+        ]
+        assert (
+            gated._child_rng.bit_generator.state
+            == every._child_rng.bit_generator.state
+        )
+
+    def test_serial_and_process_backends_agree(self, tiny_splits, tiny_backbone):
+        runs = {}
+        for backend in ("serial", "process"):
+            search = self._gated(tiny_splits, tiny_backbone)
+            engine = SearchEngine(
+                search,
+                EngineConfig(
+                    backend=backend, num_workers=2, batch_episodes=2, use_cache=True
+                ),
+            )
+            runs[backend] = (engine, engine.run().history.records, search)
+        serial_engine, serial, serial_search = runs["serial"]
+        process_engine, process, process_search = runs["process"]
+        assert [r.reward for r in serial] == [r.reward for r in process]
+        assert [r.decisions for r in serial] == [r.decisions for r in process]
+        assert [r.cache_hit for r in serial] == [r.cache_hit for r in process]
+        assert [r.worker == "gate" for r in serial] == [
+            r.worker == "gate" for r in process
+        ]
+        assert any(r.worker == "gate" for r in serial)
+        assert any(r.worker.startswith("process-") for r in process)
+        assert serial_engine.evaluations_run == process_engine.evaluations_run
+        assert (
+            serial_search._child_rng.bit_generator.state
+            == process_search._child_rng.bit_generator.state
+        )
+
+    def test_intra_wave_duplicate_rejection_evaluates_once(
+        self, tiny_splits, tiny_backbone
+    ):
+        # A constraint no child meets: both proposals of the wave are rejected.
+        reference_search = _search(
+            tiny_splits, tiny_backbone, 2, policy_batch=2, timing_constraint_ms=1e-3
+        )
+        _duplicate_samples(reference_search)
+        reference = _reference_sequential_rewards(reference_search, 2)
+
+        search = _search(
+            tiny_splits, tiny_backbone, 2, policy_batch=2, timing_constraint_ms=1e-3
+        )
+        _duplicate_samples(search)
+        built = _spy_produce(search)
+        pipeline = search.evaluator.pipeline
+        priced = []
+        original_price = pipeline.price
+
+        def price(descriptor):
+            priced.append(descriptor)
+            return original_price(descriptor)
+
+        pipeline.price = price
+        engine = SearchEngine(search, EngineConfig(use_cache=True, batch_episodes=2))
+        result = engine.run()
+
+        assert engine.evaluations_run == 1
+        assert len(priced) == 1
+        assert built == []
+        records = result.history.records
+        assert [r.worker for r in records] == ["gate", "cache"]
+        assert not records[0].cache_hit and records[1].cache_hit
+        assert [r.reward for r in records] == reference == [INVALID_REWARD] * 2
+        assert (engine.cache.hits, engine.cache.misses) == (0, 2)
+        assert (
+            search._child_rng.bit_generator.state
+            == reference_search._child_rng.bit_generator.state
+        )
+
+
+    def test_staged_rejections_are_never_built(self, tiny_splits, tiny_backbone):
+        ladder = PipelineSettings(
+            fidelities=(
+                FidelityConfig(
+                    name="proxy", epochs=1, data_fraction=0.5, promote_fraction=0.5
+                ),
+                FidelityConfig(name="full"),
+            )
+        )
+        runs = []
+        for bypass in (True, False):
+            search = self._gated(tiny_splits, tiny_backbone, pipeline=ladder)
+            search.evaluator.config = dataclasses.replace(
+                search.evaluator.config, bypass_invalid=bypass
+            )
+            built = _spy_produce(search)
+            result = SearchEngine(search, EngineConfig(batch_episodes=2)).run()
+            runs.append((search, result.history.records, built))
+        (gated, gated_records, gated_built) = runs[0]
+        (every, every_records, every_built) = runs[1]
+
+        rejected = [r for r in gated_records if r.worker == "gate"]
+        assert rejected and len(rejected) < len(gated_records)
+        assert all(r.stages == ["gate:latency"] for r in rejected)
+        assert [d.cache_key() for d in gated_built] == [
+            r.descriptor.cache_key() for r in gated_records if r.worker != "gate"
+        ]
+        assert len(every_built) == self.episodes
+        assert [r.reward for r in gated_records] == [r.reward for r in every_records]
+        assert (
+            gated._child_rng.bit_generator.state
+            == every._child_rng.bit_generator.state
+        )
 
 
 class TestCheckpointResume:
@@ -428,6 +675,110 @@ class TestCheckpointResume:
         assert kinds[-1] == "run-finished"
         assert kinds.count("episode-finished") == 2
         assert "checkpoint-written" in kinds
+
+    def test_numpy_scalars_round_trip(self, tiny_splits, tiny_backbone, tmp_path):
+        run_dir = str(tmp_path / "run")
+        search = _search(tiny_splits, tiny_backbone, 1)
+        result = EvaluationResult(
+            latency_ms=np.float32(12.5),
+            storage_mb=np.float64(0.1),
+            num_parameters=np.int64(1000),
+            trained=np.bool_(True),
+            accuracy=np.float32(0.8),
+            unfairness=np.float64(0.3),
+            group_accuracy={"light": np.float32(0.9), "dark": np.float64(0.6)},
+            reward=np.float32(0.25),
+            meets_timing=np.bool_(True),
+            meets_accuracy=np.bool_(False),
+            train_seconds=np.float32(1.5),
+        )
+        record = EpisodeRecord(
+            episode=np.int64(0),
+            descriptor=_make_descriptor(),
+            decisions=["DB-k3"],
+            reward=np.float32(0.25),
+            accuracy=np.float32(0.8),
+            unfairness=np.float64(0.3),
+            latency_ms=np.float32(12.5),
+            storage_mb=np.float64(0.1),
+            num_parameters=np.int64(1000),
+            trained=np.bool_(True),
+            group_accuracy={"light": np.float32(0.9)},
+            elapsed_seconds=np.float64(2.0),
+            cache_hit=np.bool_(False),
+            worker="serial",
+        )
+        cache = EvaluationCache(capacity=4)
+        cache.put("key", result)
+        save_checkpoint(
+            run_dir,
+            next_episode=1,
+            context_key="context",
+            controller=search.controller,
+            policy_trainer=search.policy_trainer,
+            sample_rng=search._sample_rng,
+            child_rng=search._child_rng,
+            history=SearchHistory(records=[record], space_size=np.float64(8.0)),
+            cache=cache,
+        )
+        loaded = load_checkpoint(run_dir)
+        [loaded_record] = loaded.history.records
+        assert loaded.history.space_size == 8.0
+        assert record_to_dict(loaded_record) == record_to_dict(record)
+        assert loaded_record.reward == float(np.float32(0.25))
+        assert type(loaded_record.trained) is bool
+        assert type(loaded_record.num_parameters) is int
+        [(key, entry)] = loaded.cache_entries
+        assert key == "key"
+        assert entry == result_to_dict(result)
+        assert type(entry["meets_timing"]) is bool
+
+    def test_checkpoint_is_compact_json(self, tiny_splits, tiny_backbone, tmp_path):
+        run_dir = str(tmp_path / "run")
+        SearchEngine(
+            _search(tiny_splits, tiny_backbone, 2), EngineConfig(run_dir=run_dir)
+        ).run()
+        json_path, _ = checkpoint_paths(run_dir)
+        with open(json_path, encoding="utf-8") as handle:
+            text = handle.read()
+        assert "\n" not in text
+        assert json.loads(text)["next_episode"] == 2
+
+    def test_legacy_checkpoint_resumes_bit_for_bit(
+        self, tiny_splits, tiny_backbone, tmp_path
+    ):
+        total, cut = 5, 3
+        uninterrupted_search = _search(tiny_splits, tiny_backbone, total)
+        uninterrupted = SearchEngine(uninterrupted_search, EngineConfig()).run()
+
+        run_dir = str(tmp_path / "run")
+        SearchEngine(
+            _search(tiny_splits, tiny_backbone, total), EngineConfig(run_dir=run_dir)
+        ).run(cut)
+        # Rewrite the pair in the earlier layout: indented JSON and a
+        # compressed archive.
+        json_path, npz_path = checkpoint_paths(run_dir)
+        save_json(json_path, load_json(json_path))
+        save_state_dict(npz_path, load_state_dict(npz_path))
+        with open(json_path, encoding="utf-8") as handle:
+            assert handle.read().startswith("{\n  ")
+
+        resumed_search = _search(tiny_splits, tiny_backbone, total)
+        resumed = SearchEngine.resume(
+            resumed_search, EngineConfig(run_dir=run_dir)
+        ).run(total)
+        assert (
+            resumed.history.reward_trajectory()
+            == uninterrupted.history.reward_trajectory()
+        )
+        assert [r.decisions for r in resumed.history.records] == [
+            r.decisions for r in uninterrupted.history.records
+        ]
+        for resumed_param, straight_param in zip(
+            resumed_search.controller.parameters(),
+            uninterrupted_search.controller.parameters(),
+        ):
+            assert np.array_equal(resumed_param.data, straight_param.data)
 
 
 class TestEngineConfigResolution:
