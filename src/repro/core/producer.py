@@ -222,16 +222,22 @@ class BackboneProducer:
         )
 
     def produce(
-        self, decisions: Sequence[BlockDecision], rng: SeedLike = None
+        self,
+        decisions: Sequence[BlockDecision],
+        rng: SeedLike = None,
+        *,
+        seed: Optional[int] = None,
     ) -> ChildArchitecture:
-        """Materialise the child network described by the controller decisions."""
+        """Materialise the child network described by the controller decisions.
+
+        ``seed`` initialises the weights when the caller already drew it;
+        otherwise it is drawn from ``rng`` (the producer's own stream if None).
+        """
         descriptor = self.describe_child(decisions)
 
-        seed = (
-            int(new_rng(rng).integers(0, 2**31 - 1))
-            if rng is not None
-            else int(self._rng.integers(0, 2**31 - 1))
-        )
+        if seed is None:
+            stream = self._rng if rng is None else new_rng(rng)
+            seed = int(stream.integers(0, 2**31 - 1))
         model = descriptor.build(
             num_classes=self.num_classes,
             width_multiplier=self.config.width_multiplier,

@@ -7,21 +7,23 @@ scaling features the seed loop lacked:
 
 1. **Batched parallel evaluation.**  Episodes are sampled up front in waves
    of ``batch_episodes`` children and evaluated concurrently on a pluggable
-   worker pool.  Controller sampling draws from the sample-RNG stream and
-   child weight initialisation from the child-RNG stream in strict episode
-   order, and rewards are fed back to the policy trainer in episode order,
+   worker pool.  Controller sampling draws from the sample-RNG stream in
+   strict episode order, and each episode takes its one child-RNG draw --
+   its child's weight-init seed -- at sampling, whether or not the child is
+   ever built.  Rewards are fed back to the policy trainer in episode order,
    so a run is bit-for-bit reproducible regardless of backend -- provided
    the wave size does not exceed ``PolicyGradientConfig.batch_episodes``
    (within one policy batch the controller's parameters are constant, which
    is exactly what makes the evaluations independent).
 
-2. **Content-addressed memoization.**  With a cache configured, each sampled
-   child is fingerprinted (descriptor ``cache_key()`` + evaluation context)
-   before any model is built; repeats return the memoized result without
-   training.  Cache misses are priced against the gates from the same
-   descriptor, so a rejected child is never built either.  Every episode
-   that builds no model still consumes one child-RNG draw, so the stream
-   stays aligned with a run that builds every child.
+2. **Content-addressed memoization.**  Every run climbs its pipeline's
+   fidelity ladder (a plain run is a one-rung ladder).  With a cache
+   configured, each child is fingerprinted per rung (descriptor
+   ``cache_key()`` + evaluation context + rung budget) before any model is
+   built; repeats return the memoized result without training.  A cache
+   miss is priced against the gates from its descriptor, so a rejected
+   child is never built, and any other child is built the first time a
+   rung trains it.
 
 3. **Checkpoint/resume.**  With a ``run_dir`` configured, the engine
    snapshots controller weights, optimiser/baseline state, both RNG streams,
@@ -192,27 +194,28 @@ def resolve_engine_config(explicit: Optional[EngineConfig] = None) -> EngineConf
 
 @dataclass
 class _EpisodeJob:
-    """One episode of a wave, from sample to evaluation."""
+    """One episode of a wave, from sample to evaluation.
+
+    Every rung the child reaches overwrites ``evaluation``, ``cache_hit`` and
+    ``worker``; the last rung's values are the episode's outcome.
+    """
 
     episode: int
     sample: ControllerSample
     descriptor: ArchitectureDescriptor
+    # The episode's one child-RNG draw: its child's weight-init seed.
+    seed: int
     cache_key: Optional[str] = None
-    # The gates' verdict on the descriptor; ``child`` stays None for children
-    # that will not train (cache hits, gate rejections, intra-wave repeats).
+    # The gates' verdict, taken at the child's first cache miss.  ``child``
+    # is built the first time a rung trains it, so it stays None for children
+    # that never train (cache hits, gate rejections, intra-wave repeats).
     pricing: Optional[PricingReport] = None
     child: Optional[ChildArchitecture] = None
-    # An intra-wave repeat's first occurrence, whose evaluation it shares.
-    primary: Optional["_EpisodeJob"] = None
+    initial_weights: Optional[Dict[str, Any]] = None
     evaluation: Optional[EvaluationResult] = None
     cache_hit: bool = False
     worker: str = ""
     elapsed_seconds: float = 0.0
-    # Staged-pipeline state (multi-fidelity runs only).
-    initial_weights: Optional[Dict[str, Any]] = None
-    stage_result: Optional[EvaluationResult] = None
-    stage_cached: bool = False
-    stage_worker: str = ""
     stages: List[str] = field(default_factory=list)
 
 
@@ -225,18 +228,19 @@ def _train_payload(
         Optional[Dict[str, Any]],
     ],
 ) -> Tuple[EvaluationResult, float, float]:
-    """Worker task: train and score one child at one fidelity stage.
+    """Worker task: train and score one child at one rung of the ladder.
 
-    The engine priced the child before building it, so ``pricing`` travels
-    with the task and the worker never prices again.  ``evaluator`` is None
+    The engine priced the child from its descriptor, then built it from the
+    seed drawn at sampling when a rung first trained it; ``pricing`` travels
+    with the task, so the worker never prices again.  ``evaluator`` is None
     when the pool shipped it to the worker process once at startup
     (``EngineConfig.share_evaluator``); it is then read back from the
     worker's shared slot instead of travelling with every task.
 
-    ``initial_weights`` is the snapshot taken before a staged child's first
-    stage; restoring it makes every stage train from the same initial
-    weights regardless of backend (in-process pools mutate the parent's
-    model, the process pool trains a pickled copy).  Returns
+    ``initial_weights`` is the snapshot a multi-rung ladder takes when it
+    builds the child; restoring it makes every rung train from the same
+    initial weights regardless of backend (in-process pools mutate the
+    parent's model, the process pool trains a pickled copy).  Returns
     ``(result, elapsed_seconds, wall_start)`` -- the wall-clock start lets
     the engine record the training as a tracer span on the worker's own
     timeline, which is what makes a trace show the wave's real parallelism.
@@ -705,11 +709,8 @@ class SearchEngine:
                 ):
                     with self.tracer.span("sample", episode=self._next_episode):
                         jobs = self._sample_wave(wave)
-                    if staged:
-                        self._evaluate_wave_staged(jobs, pool)
-                    else:
-                        with self.tracer.span("evaluate", episode=self._next_episode):
-                            self._evaluate_wave(jobs, pool)
+                    with self.tracer.span("evaluate", episode=self._next_episode):
+                        self._evaluate_wave(jobs, pool)
                     with self.tracer.span("observe", episode=self._next_episode):
                         for job in jobs:
                             self._observe(job, history)
@@ -771,220 +772,67 @@ class SearchEngine:
 
     # -- wave phases --------------------------------------------------------------
     def _sample_wave(self, wave: int) -> List[_EpisodeJob]:
-        """Sample ``wave`` children in strict episode order; build those that train.
+        """Sample and describe ``wave`` children in strict episode order.
 
-        Every child that needs an evaluation is priced against the gates from
-        its descriptor before any model is built -- the paper's "price before
-        train" -- and only the children that pass are built.  Single-fidelity
-        waves first look each child up in the cache: hits and intra-wave
-        repeats are neither priced nor built, since they never train.
-
-        In staged (multi-fidelity) runs the per-child cache lookups happen at
-        each fidelity stage instead of here: an episode's final result then
-        depends on wave-relative promotion, so sample-time short-circuiting
-        would make cached and uncached runs diverge.
+        Each episode also takes its one child-RNG draw here, the seed its
+        child is built from if a rung ever trains it.  Drawing for every
+        episode, built or not, keeps the stream -- and with it every later
+        child's initial weights -- aligned with a run that builds every child.
         """
         search = self.search
-        pipeline = self.pipeline
-        lookup = self.cache is not None and not self.staged
         jobs: List[_EpisodeJob] = []
-        first: Dict[str, _EpisodeJob] = {}
         for offset in range(wave):
-            episode = self._next_episode + offset
             sample = search.controller.sample(rng=search._sample_rng)
-            descriptor = search.producer.describe_child(sample.decisions)
-            job = _EpisodeJob(episode=episode, sample=sample, descriptor=descriptor)
-            jobs.append(job)
-            if lookup:
-                job.cache_key = self.child_cache_key(descriptor)
-                cached = self.cache.get(job.cache_key)
-                if cached is not None:
-                    job.evaluation = cached
-                    job.cache_hit = True
-                    job.worker = "cache"
-                    self._emit(
-                        CACHE_HIT,
-                        episode=episode,
-                        payload={"key": job.cache_key, "reward": cached.reward},
-                    )
-                    self._skip_child_build()
-                    continue
-                job.primary = first.get(job.cache_key)
-                if job.primary is not None:
-                    self._skip_child_build()
-                    continue
-                first[job.cache_key] = job
-            job.pricing = pipeline.price(descriptor)
-            if not job.pricing.passed and pipeline.bypass_invalid:
-                self._skip_child_build()
-                continue
-            job.child = search.producer.produce(sample.decisions, rng=search._child_rng)
+            jobs.append(
+                _EpisodeJob(
+                    episode=self._next_episode + offset,
+                    sample=sample,
+                    descriptor=search.producer.describe_child(sample.decisions),
+                    seed=int(search._child_rng.integers(0, 2**31 - 1)),
+                )
+            )
         return jobs
 
-    def _skip_child_build(self) -> None:
-        """Burn the one child-RNG draw produce() would have made.
-
-        Every episode draws exactly once, built or not, so the stream -- and
-        with it every later child's initial weights -- stays aligned with a
-        run that builds every child.
-        """
-        self.search._child_rng.integers(0, 2**31 - 1)
-
     def _evaluate_wave(self, jobs: List[_EpisodeJob], pool: WorkerPool) -> None:
-        """Evaluate the wave's cache misses, in episode order.
+        """Drive one wave up the pipeline's fidelity ladder.
 
-        Children that failed a gate at sampling take their rejection result
-        here, without reaching the pool; the rest train concurrently.  Both
-        count toward ``evaluations_run`` and are cached.  When caching is on,
-        duplicate children *within* one wave are evaluated only once: a
-        repeat, which :meth:`_sample_wave` pointed at its first occurrence,
-        shares that result, exactly as it would have hit the cache with wave
-        size 1.  (With caching off every child is evaluated, matching the
-        sequential loop.)
-        """
-        pipeline = self.pipeline
-        pending = [job for job in jobs if job.evaluation is None]
-        unique = [job for job in pending if job.primary is None]
-        training = [job for job in unique if job.child is not None]
-        if training:
-            # Pools that shipped the evaluator at startup get payloads
-            # without it; the worker reads it from its shared slot.
-            evaluator = None if pool.uses_shared else self.search.evaluator
-            fidelity = pipeline.final_fidelity.name
-            payloads = [
-                (evaluator, job.child, fidelity, job.pricing, None) for job in training
-            ]
-            results = pool.map_ordered(_train_payload, payloads)
-            for job, ((evaluation, elapsed, started), worker) in zip(training, results):
-                job.evaluation = evaluation
-                job.worker = worker
-                job.elapsed_seconds = elapsed
-                self.tracer.record(
-                    "train",
-                    start=started,
-                    duration=elapsed,
-                    tid=worker,
-                    episode=job.episode,
-                )
-        for job in unique:
-            if job.evaluation is None:  # rejected by a gate at sampling
-                job.evaluation = pipeline.rejection_result(job.pricing)
-                job.worker = "gate"
-            evaluation = job.evaluation
-            self.evaluations_run += 1
-            self._m_evaluations.labels(fidelity=evaluation.fidelity).inc()
-            if evaluation.trained:
-                self.evaluations_by_fidelity[evaluation.fidelity] = (
-                    self.evaluations_by_fidelity.get(evaluation.fidelity, 0) + 1
-                )
-            if self.cache is not None and job.cache_key is not None:
-                self.cache.put(job.cache_key, evaluation)
-        for job in pending:
-            if job.primary is not None:
-                job.evaluation = job.primary.evaluation
-                job.cache_hit = True
-                job.worker = "cache"
-                self._emit(
-                    CACHE_HIT,
-                    episode=job.episode,
-                    payload={"key": job.cache_key, "reward": job.evaluation.reward},
-                )
-
-    # -- the staged (multi-fidelity) wave ------------------------------------------
-    def _evaluate_wave_staged(self, jobs: List[_EpisodeJob], pool: WorkerPool) -> None:
-        """Drive one wave through gates and the fidelity ladder.
-
-        :meth:`_sample_wave` priced every child (pricing needs only the
-        descriptor and the offline latency table) and built only those that
-        passed; here the rejections take their result without reaching a
-        worker, and do not count toward ``evaluations_run`` -- unlike the
-        single-stage path, which counts them as evaluations.  Each fidelity
-        stage trains the current survivors on the worker pool, then promotes
-        the top ``promote_fraction`` of the wave's valid children to the
-        next stage.
-        Children that stop early keep their proxy-stage result as the
+        A plain run has one rung.  After each rung but the last, the top
+        ``promote_fraction`` of the wave's valid children is promoted to the
+        next; children that stop early keep their last rung's result as the
         episode's reward -- the staged generalisation of the paper's "price
-        before train" refusal.  Cache lookups are per (child, fidelity), so
+        before train" refusal.  Cache lookups are per (child, rung), so
         replays skip the training without changing any promotion decision.
         """
-        pipeline = self.pipeline
-        survivors: List[_EpisodeJob] = []
-        with self.tracer.span("gates"):
-            for job in jobs:
-                pricing = job.pricing
-                if not pricing.passed and pipeline.bypass_invalid:
-                    job.evaluation = pipeline.rejection_result(pricing)
-                    job.stages = [
-                        f"gate:{outcome.gate}" for outcome in pricing.failures()
-                    ]
-                    job.worker = "gate"
-                    self._emit(
-                        GATE_REJECTED,
-                        episode=job.episode,
-                        payload={
-                            "gates": [outcome.gate for outcome in pricing.failures()],
-                            "latency_ms": pricing.latency_ms,
-                        },
-                    )
-                else:
-                    survivors.append(job)
-        if len(pipeline.fidelities) > 1 and self.config.backend != "process":
-            # Promotion re-trains later stages from the child's initial
-            # weights, which in-process proxy training would otherwise have
-            # mutated.  Process workers train a pickled copy, so the parent's
-            # model already holds the initial weights and shipping a snapshot
-            # would double every promoted task's payload for no effect.
-            for job in survivors:
-                job.initial_weights = snapshot_weights(job.child.model)
-
-        stages = pipeline.fidelities
-        for index, fidelity in enumerate(stages):
+        fidelities = self.pipeline.fidelities
+        survivors = jobs
+        for index, fidelity in enumerate(fidelities):
             if not survivors:
                 break
-            is_last = index == len(stages) - 1
-            with self.tracer.span(
-                f"stage:{fidelity.name}", children=len(survivors)
-            ):
-                evaluated = self._run_stage(survivors, fidelity, index, pool)
-            self._emit(
-                STAGE_FINISHED,
-                payload={
-                    "stage": fidelity.name,
-                    "children": len(survivors),
-                    "evaluated": evaluated,
-                    "cached": len(survivors) - evaluated,
-                },
-            )
-            for job in survivors:
-                job.stages.append(fidelity.name)
-            if is_last:
-                for job in survivors:
-                    self._finalize_staged_job(job)
-                break
-            with self.tracer.span("promotion"):
-                ranked = sorted(
-                    survivors, key=lambda job: (-job.stage_result.reward, job.episode)
-                )
-                eligible = [job for job in ranked if job.stage_result.is_valid]
-                # The quota is a fraction of the wave's *valid* children:
-                # invalid proxy results can never win, so they neither advance
-                # nor pad the promotion budget of the children that can.
-                quota = (
-                    max(1, math.ceil(len(eligible) * fidelity.promote_fraction))
-                    if eligible
-                    else 0
-                )
-                promoted = eligible[:quota]
-                promoted_ids = {id(job) for job in promoted}
-                for job in survivors:
-                    if id(job) not in promoted_ids:
-                        self._finalize_staged_job(job)
+            with self.tracer.span(f"stage:{fidelity.name}", children=len(survivors)):
+                self._run_stage(survivors, fidelity, index, pool)
+                if index == len(fidelities) - 1:
+                    break
+                with self.tracer.span("promotion"):
+                    ranked = sorted(
+                        survivors, key=lambda job: (-job.evaluation.reward, job.episode)
+                    )
+                    eligible = [job for job in ranked if job.evaluation.is_valid]
+                    # The quota is a fraction of the wave's *valid* children:
+                    # invalid results (gate rejections included) can never
+                    # win, so they neither advance nor pad the promotion
+                    # budget of the children that can.
+                    quota = (
+                        max(1, math.ceil(len(eligible) * fidelity.promote_fraction))
+                        if eligible
+                        else 0
+                    )
+                    promoted = eligible[:quota]
             self._m_promotions.inc(len(promoted))
             self._emit(
                 WAVE_PROMOTED,
                 payload={
                     "stage": fidelity.name,
-                    "next_stage": stages[index + 1].name,
+                    "next_stage": fidelities[index + 1].name,
                     "promoted": [job.episode for job in promoted],
                     "stopped": len(survivors) - len(promoted),
                 },
@@ -993,57 +841,73 @@ class SearchEngine:
 
     def _run_stage(
         self,
-        survivors: List[_EpisodeJob],
+        jobs: List[_EpisodeJob],
         fidelity: FidelityConfig,
-        stage_index: int,
+        index: int,
         pool: WorkerPool,
-    ) -> int:
-        """Evaluate one fidelity stage for ``survivors``; returns trainings run.
+    ) -> None:
+        """Evaluate one rung of the ladder for ``jobs``, in episode order.
 
-        With caching on, duplicate children within the wave train once per
-        stage and share the result, exactly as they would across waves
-        through the cache; with caching off every survivor trains, matching
-        the cache-off single-fidelity semantics.
+        Each child is looked up under its (child, rung) cache key.  A miss is
+        priced from its descriptor unless an earlier rung priced it; a child
+        a gate rejects takes its rejection result without a model or a
+        worker, and any other miss is built the first time a rung trains it,
+        then trains on the pool.  Rejections and trainings alike count toward
+        ``evaluations_run`` and are cached.  When caching is on, duplicate
+        children *within* the wave are evaluated once per rung: a repeat
+        shares its first occurrence's result, exactly as it would have hit
+        the cache with wave size 1.  (With caching off every child is
+        evaluated, matching the sequential loop.)
         """
-        for job in survivors:
-            job.stage_result = None
-            job.stage_cached = False
-            job.stage_worker = ""
-            job.cache_key = (
-                self.child_cache_key(job.descriptor, fidelity)
-                if self.cache is not None
-                else None
-            )
-            if self.cache is not None:
-                cached = self.cache.get(job.cache_key)
-                if cached is not None:
-                    job.stage_result = cached
-                    job.stage_cached = True
-                    job.stage_worker = "cache"
-                    self._emit(
-                        CACHE_HIT,
-                        episode=job.episode,
-                        payload={
-                            "key": job.cache_key,
-                            "stage": fidelity.name,
-                            "reward": cached.reward,
-                        },
-                    )
-
-        first_by_key: Dict[str, _EpisodeJob] = {}
+        pipeline = self.pipeline
+        cache = self.cache
+        first: Dict[str, _EpisodeJob] = {}
         unique: List[_EpisodeJob] = []
-        for job in survivors:
-            if job.stage_result is not None:
-                continue
-            if self.cache is None:
-                unique.append(job)
-                continue
-            dedupe_key = combine_fingerprints(job.descriptor.cache_key(), fidelity.name)
-            if dedupe_key in first_by_key:
-                continue
-            first_by_key[dedupe_key] = job
+        repeats: List[_EpisodeJob] = []
+        for job in jobs:
+            if cache is not None:
+                job.cache_key = self.child_cache_key(job.descriptor, fidelity)
+                cached = cache.get(job.cache_key)
+                if cached is not None:
+                    self._serve_cached(job, cached, fidelity)
+                    continue
+                if first.setdefault(job.cache_key, job) is not job:
+                    repeats.append(job)
+                    continue
             unique.append(job)
-        if unique:
+
+        training: List[_EpisodeJob] = []
+        # Promotion re-trains later rungs from the child's initial weights,
+        # which in-process training at an earlier rung would otherwise have
+        # mutated.  Process workers train a pickled copy, so the parent's
+        # model keeps its initial weights and shipping a snapshot would
+        # double every promoted task's payload for no effect.
+        snapshot = len(pipeline.fidelities) > 1 and self.config.backend != "process"
+        for job in unique:
+            job.cache_hit = False
+            if job.pricing is None:
+                job.pricing = pipeline.price(job.descriptor)
+            if job.pricing.passed or not pipeline.bypass_invalid:
+                if job.child is None:
+                    job.child = self.search.producer.produce(
+                        job.sample.decisions, seed=job.seed
+                    )
+                    if snapshot:
+                        job.initial_weights = snapshot_weights(job.child.model)
+                training.append(job)
+                continue
+            failures = [outcome.gate for outcome in job.pricing.failures()]
+            job.evaluation = pipeline.rejection_result(job.pricing)
+            job.worker = "gate"
+            job.stages.extend(f"gate:{gate}" for gate in failures)
+            self._emit(
+                GATE_REJECTED,
+                episode=job.episode,
+                payload={"gates": failures, "latency_ms": job.pricing.latency_ms},
+            )
+        if training:
+            # Pools that shipped the evaluator at startup get payloads
+            # without it; the worker reads it from its shared slot.
             evaluator = None if pool.uses_shared else self.search.evaluator
             payloads = [
                 (
@@ -1051,54 +915,62 @@ class SearchEngine:
                     job.child,
                     fidelity.name,
                     job.pricing,
-                    job.initial_weights if stage_index > 0 else None,
+                    job.initial_weights if index > 0 else None,
                 )
-                for job in unique
+                for job in training
             ]
             results = pool.map_ordered(_train_payload, payloads)
-            for job, ((evaluation, elapsed, started), worker) in zip(unique, results):
-                job.stage_result = evaluation
-                job.stage_worker = worker
+            for job, ((evaluation, elapsed, started), worker) in zip(training, results):
+                job.evaluation = evaluation
+                job.worker = worker
                 job.elapsed_seconds += elapsed
-                self.evaluations_run += 1
-                self._m_evaluations.labels(fidelity=fidelity.name).inc()
+                job.stages.append(fidelity.name)
                 self.tracer.record(
-                    f"train:{fidelity.name}",
+                    "train",
                     start=started,
                     duration=elapsed,
                     tid=worker,
                     episode=job.episode,
+                    fidelity=fidelity.name,
                 )
+        for job in unique:
+            self.evaluations_run += 1
+            self._m_evaluations.labels(fidelity=fidelity.name).inc()
+            if job.evaluation.trained:
                 self.evaluations_by_fidelity[fidelity.name] = (
                     self.evaluations_by_fidelity.get(fidelity.name, 0) + 1
                 )
-                if self.cache is not None and job.cache_key is not None:
-                    self.cache.put(job.cache_key, evaluation)
-        for job in survivors:
-            if job.stage_result is None:  # an intra-wave repeat
-                dedupe_key = combine_fingerprints(
-                    job.descriptor.cache_key(), fidelity.name
-                )
-                primary = first_by_key[dedupe_key]
-                job.stage_result = primary.stage_result
-                job.stage_cached = True
-                job.stage_worker = "cache"
-                self._emit(
-                    CACHE_HIT,
-                    episode=job.episode,
-                    payload={
-                        "key": job.cache_key,
-                        "stage": fidelity.name,
-                        "reward": job.stage_result.reward,
-                    },
-                )
-        return len(unique)
+            if cache is not None:
+                cache.put(job.cache_key, job.evaluation)
+        for job in repeats:
+            self._serve_cached(job, first[job.cache_key].evaluation, fidelity)
+        self._emit(
+            STAGE_FINISHED,
+            payload={
+                "stage": fidelity.name,
+                "children": len(jobs),
+                "evaluated": len(unique),
+                "cached": len(jobs) - len(unique),
+            },
+        )
 
-    def _finalize_staged_job(self, job: _EpisodeJob) -> None:
-        """Freeze a staged job's current stage result as the episode outcome."""
-        job.evaluation = job.stage_result
-        job.cache_hit = job.stage_cached
-        job.worker = job.stage_worker
+    def _serve_cached(
+        self, job: _EpisodeJob, evaluation: EvaluationResult, fidelity: FidelityConfig
+    ) -> None:
+        """Give ``job`` a cached (or intra-wave shared) result at this rung."""
+        job.evaluation = evaluation
+        job.cache_hit = True
+        job.worker = "cache"
+        job.stages.append(fidelity.name)
+        self._emit(
+            CACHE_HIT,
+            episode=job.episode,
+            payload={
+                "key": job.cache_key,
+                "stage": fidelity.name,
+                "reward": evaluation.reward,
+            },
+        )
 
     def _observe(self, job: _EpisodeJob, history: SearchHistory) -> None:
         """Feed one episode's reward back and record it (episode order)."""

@@ -17,7 +17,6 @@ running statistics), keyed by qualified name under a ``param/`` or
 from __future__ import annotations
 
 import io
-import os
 import zipfile
 from typing import Dict
 
@@ -106,23 +105,12 @@ def arrays_to_bytes(arrays: Dict[str, np.ndarray]) -> bytes:
     return out.getvalue()
 
 
-def save_arrays(path: str, arrays: Dict[str, np.ndarray]) -> str:
-    """Write :func:`arrays_to_bytes` to ``path``.
-
-    The write goes through a temp file + ``os.replace`` so a concurrent
-    reader of a dedupe blob never sees a torn archive.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(arrays_to_bytes(arrays))
-    os.replace(tmp, path)
-    return path
-
-
 def load_arrays(path: str) -> Dict[str, np.ndarray]:
-    """Read an archive written by :func:`save_arrays`."""
+    """Read the :func:`arrays_to_bytes` archive at ``path``.
+
+    Zoo manifests written before weights moved onto the artifact store name
+    such a flat blob (``_blobs/<hash>.npz``); they still load through here.
+    """
     with np.load(path, allow_pickle=False) as archive:
         return {name: archive[name] for name in archive.files}
 

@@ -232,8 +232,8 @@ def _spy_produce(search):
     built = []
     original = search.producer.produce
 
-    def produce(decisions, rng=None):
-        child = original(decisions, rng=rng)
+    def produce(decisions, **kwargs):
+        child = original(decisions, **kwargs)
         built.append(child.descriptor)
         return child
 
@@ -611,6 +611,116 @@ class TestPriceBeforeBuild:
             gated._child_rng.bit_generator.state
             == every._child_rng.bit_generator.state
         )
+
+
+class TestOneWavePath:
+    """Plain and staged runs share one wave path: a plain run is one rung."""
+
+    episodes = 8
+    ladder = PipelineSettings(
+        fidelities=(
+            FidelityConfig(
+                name="proxy", epochs=1, data_fraction=0.5, promote_fraction=0.5
+            ),
+            FidelityConfig(name="full"),
+        )
+    )
+
+    def _staged(self, tiny_splits, tiny_backbone, timing_constraint_ms):
+        return _search(
+            tiny_splits,
+            tiny_backbone,
+            self.episodes,
+            policy_batch=4,
+            timing_constraint_ms=timing_constraint_ms,
+            pipeline=self.ladder,
+        )
+
+    def test_staged_rejections_count_cache_and_replay(self, tiny_splits, tiny_backbone):
+        # A gate rejection is evaluated at the child's first rung like any
+        # other miss there: counted, cached under that rung's key, replayed.
+        cache = EvaluationCache(capacity=64)
+
+        def run():
+            search = self._staged(tiny_splits, tiny_backbone, GATED_MS)
+            built = _spy_produce(search)
+            engine = SearchEngine(
+                search, EngineConfig(use_cache=True, cache=cache, batch_episodes=4)
+            )
+            return engine, engine.run().history.records, built
+
+        cold_engine, cold, _ = run()
+        rejected = {r.descriptor.cache_key() for r in cold if not r.trained}
+        assert rejected and any(r.trained for r in cold)
+        assert cold_engine.evaluations_run == sum(
+            cold_engine.evaluations_by_fidelity.values()
+        ) + len(rejected)
+
+        warm_engine, warm, warm_built = run()
+        assert warm_engine.evaluations_run == 0
+        assert all(r.cache_hit and r.worker == "cache" for r in warm)
+        assert [r.reward for r in warm] == [r.reward for r in cold]
+        assert [r.fidelity for r in warm] == [r.fidelity for r in cold]
+        assert warm_built == []
+
+    def test_partially_warm_staged_replay_builds_only_promoted_children(
+        self, tiny_splits, tiny_backbone
+    ):
+        cold_engine = SearchEngine(
+            self._staged(tiny_splits, tiny_backbone, 1e6),
+            EngineConfig(use_cache=True, batch_episodes=4),
+        )
+        cold = cold_engine.run().history.records
+        # Keep only the proxy rung's results: the replay must train exactly
+        # the promoted children, at the full rung, from their initial weights.
+        proxy = cold_engine.pipeline.fidelities[0]
+        cache = EvaluationCache(capacity=64)
+        for record in cold:
+            key = cold_engine.child_cache_key(record.descriptor, proxy)
+            cache.put(key, cold_engine.cache.get(key))
+
+        search = self._staged(tiny_splits, tiny_backbone, 1e6)
+        built = _spy_produce(search)
+        engine = SearchEngine(search, EngineConfig(cache=cache, batch_episodes=4))
+        warm = engine.run().history.records
+
+        assert [r.reward for r in warm] == [r.reward for r in cold]
+        assert [r.accuracy for r in warm] == [r.accuracy for r in cold]
+        promoted = {r.descriptor.cache_key() for r in cold if r.fidelity == "full"}
+        assert promoted
+        assert engine.evaluations_by_fidelity.get("proxy", 0) == 0
+        assert len(built) == engine.evaluations_by_fidelity["full"] == len(promoted)
+
+    def test_plain_runs_record_their_one_rung(self, tiny_splits, tiny_backbone):
+        search = _search(
+            tiny_splits,
+            tiny_backbone,
+            self.episodes,
+            policy_batch=2,
+            timing_constraint_ms=GATED_MS,
+        )
+        engine = SearchEngine(search, EngineConfig(batch_episodes=2))
+        events = []
+        engine.events.subscribe(
+            events.append, kinds=["stage-finished", "gate-rejected", "span"]
+        )
+        records = engine.run().history.records
+
+        rejected = [r for r in records if not r.trained]
+        trained = [r for r in records if r.trained]
+        assert rejected and trained
+        assert all(r.stages == ["gate:latency"] for r in rejected)
+        assert all(r.stages == ["full"] for r in trained)
+        kinds = [event.kind for event in events]
+        assert kinds.count("stage-finished") == self.episodes // 2
+        assert [e.episode for e in events if e.kind == "gate-rejected"] == [
+            r.episode for r in rejected
+        ]
+        spans = [e.payload for e in events if e.kind == "span"]
+        train = [span for span in spans if span["name"] == "train"]
+        assert len(train) == len(trained)
+        assert all(span["fidelity"] == "full" for span in train)
+        assert sum(span["name"] == "stage:full" for span in spans) == self.episodes // 2
 
 
 class TestCheckpointResume:
