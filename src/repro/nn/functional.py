@@ -39,11 +39,10 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 def _pad_input(x: np.ndarray, padding: int) -> np.ndarray:
     if padding > 0:
-        return np.pad(
-            x,
-            ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-            mode="constant",
-        )
+        n, c, h, w = x.shape
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding:-padding, padding:-padding] = x
+        return padded
     return x
 
 
@@ -91,7 +90,8 @@ def im2col_reference(
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
-    x = _pad_input(x, padding)
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     cols = np.empty((n, c, kernel_h, kernel_w, out_h, out_w), dtype=x.dtype)
     for i in range(kernel_h):
         i_end = i + stride * out_h

@@ -22,7 +22,13 @@ from typing import Optional
 import numpy as np
 
 from repro.nn import init
-from repro.nn.functional import col2im, conv_output_size, einsum_cached, im2col
+from repro.nn.functional import (
+    _pad_input,
+    col2im,
+    conv_output_size,
+    einsum_cached,
+    im2col,
+)
 from repro.nn.module import Module, is_inference
 from repro.nn.tensor import Parameter
 from repro.utils.rng import SeedLike
@@ -323,9 +329,7 @@ class DepthwiseConv2d(Module):
         k, padding = self.kernel_size, self.padding
         pad = k - 1 - padding
         if pad > 0:
-            grad_output = np.pad(
-                grad_output, ((0, 0), (0, 0), (pad, pad), (pad, pad))
-            )
+            grad_output = _pad_input(grad_output, pad)
         elif pad < 0:
             grad_output = grad_output[:, :, -pad:pad, -pad:pad]
         cols = im2col(grad_output, k, k, 1, 0)

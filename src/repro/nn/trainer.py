@@ -219,19 +219,24 @@ class Trainer:
 
         Runs under :func:`~repro.nn.module.inference_mode`, so the layers
         keep no backward caches; ``TrainingConfig.inference_batch_size``
-        (default: the training batch size) controls the batching.
+        (default: the training batch size) controls the batching.  The model
+        predicts in eval mode and is left in the mode it was found in; only a
+        training-mode model is switched (two walks of its module tree).
         """
         batch = batch_size or self.config.inference_batch_size or self.config.batch_size
         # Feed the model its own precision: predicting float64 images through
         # a float32-trained model would silently upcast every layer.
         images = images.astype(model.dtype, copy=False)
-        model.eval()
+        was_training = model.training
+        if was_training:
+            model.eval()
         predictions: List[np.ndarray] = []
         with inference_mode():
             for start in range(0, images.shape[0], batch):
                 logits = model.forward(images[start : start + batch])
                 predictions.append(logits.argmax(axis=1))
-        model.train()
+        if was_training:
+            model.train()
         if not predictions:
             return np.zeros((0,), dtype=np.int64)
         return np.concatenate(predictions)

@@ -49,6 +49,12 @@ headers *before* any body byte is read), 429 when a model's serving queue is
 full and 503 once the daemon is draining (new submissions/resumes refused).
 A connection-level timeout (``request_timeout``) drops stalled clients so
 they cannot wedge a worker thread.
+
+Every response leaves in one write on a ``TCP_NODELAY`` socket.  Written as
+two small segments (headers, then body) under Nagle's algorithm, the second
+waits for the client to acknowledge the first, and a keep-alive client
+delays that acknowledgement by its 40 ms minimum: a fixed stall on every
+exchange that a connection-per-request client never sees.
 """
 
 from __future__ import annotations
@@ -85,6 +91,8 @@ DEFAULT_REQUEST_TIMEOUT = 30.0
 class _RequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-run-service/1"
     protocol_version = "HTTP/1.1"
+    default_request_version = "HTTP/1.0"  # HTTP/0.9 buffers no headers for _send
+    disable_nagle_algorithm = True  # TCP_NODELAY; see the module docstring
 
     @property
     def executor(self) -> LocalExecutor:
@@ -114,38 +122,26 @@ class _RequestHandler(BaseHTTPRequestHandler):
         super().log_message(format, *args)
 
     # -- response helpers ----------------------------------------------------------
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    def _send(self, status: int, body: bytes, content_type: str) -> None:
+        """Send status line, headers and body in one write."""
         if self.command == "HEAD":
             # A HEAD response must not carry a body (it would desynchronise
             # a keep-alive connection); status + headers say everything.
             body = b""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if self.close_connection:
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        self._headers_buffer.extend((b"\r\n", body))  # end_headers(), plus the body
+        self.flush_headers()
 
-    def _send_bytes(self, status: int, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(body)
+    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self._send(status, body, "application/json")
 
     def _send_error_json(self, status: int, kind: str, message: str) -> None:
         self._send_json(status, {"error": {"type": kind, "message": message}})
-
-    def _send_text(self, status: int, body: str, content_type: str) -> None:
-        encoded = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(encoded)))
-        self.end_headers()
-        self.wfile.write(encoded)
 
     def _read_json_body(self, required: bool = False) -> Any:
         raw = self._read_body(required=required)
@@ -350,9 +346,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
         the serving metric families, plus the executor's scrape-time gauges
         (slots, queue, runs by state).
         """
-        self._send_text(
+        self._send(
             200,
-            obs_metrics.get_registry().render_prometheus(),
+            obs_metrics.get_registry().render_prometheus().encode("utf-8"),
             "text/plain; version=0.0.4; charset=utf-8",
         )
 
@@ -448,12 +444,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
         data = self.store.get(self._store_key(key))
         if data is None:
             raise _HttpError(404, "unknown-object", f"no object {key}")
-        self._send_bytes(200, data)
+        self._send(200, data, "application/octet-stream")
 
     def _head_store_object(self, key: Optional[str], query: Dict[str, str]) -> None:
         if not self.store.has(self._store_key(key)):
             raise _HttpError(404, "unknown-object", f"no object {key}")
-        self._send_bytes(200, b"")
+        self._send(200, b"", "application/octet-stream")
 
     def _put_store_object(self, key: Optional[str], query: Dict[str, str]) -> None:
         data = self._read_body(required=True)

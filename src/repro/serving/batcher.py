@@ -10,9 +10,13 @@ of request count.
 Flush policy (the two serving knobs):
 
 * **max_batch_size** -- a flush fires as soon as this many rows are queued,
-* **max_delay_ms** -- a flush fires this long after the *oldest* queued
-  request arrived, whatever the batch size; the deadline therefore bounds
-  the queueing component of every request's latency.
+* **max_delay_ms** -- a flush fires this long after the batching window
+  opened, whatever the batch size.  The window opens when the *oldest*
+  queued request arrived or, if a batch was running then, when that batch
+  finished, so a request waits at most the batch in flight plus this
+  delay.  A window that ran during the batch ahead would split a closed
+  loop of clients: one that missed a batch would flush almost alone the
+  moment the model is free, its peers out of phase in the next.
 
 The queue is bounded (``max_queue`` rows): a submit that would overflow it
 raises :class:`QueueFull` immediately -- backpressure, surfaced as HTTP 429
@@ -147,6 +151,8 @@ class MicroBatcher:
         self._pending: List[_Pending] = []
         self._pending_rows = 0
         self._closed = False
+        # When the flush thread last finished a batch (flush thread only).
+        self._flushed_at = 0.0
         # Reusable staging buffer: steady-state serving copies request rows
         # into the same workspace instead of concatenating fresh arrays.
         self._staging: Optional[np.ndarray] = None
@@ -218,8 +224,8 @@ class MicroBatcher:
                 if self._pending:
                     if self._pending_rows >= self.max_batch_size:
                         break
-                    deadline = self._pending[0].enqueued + self.max_delay_ms / 1000.0
-                    remaining = deadline - time.monotonic()
+                    opened = max(self._pending[0].enqueued, self._flushed_at)
+                    remaining = opened + self.max_delay_ms / 1000.0 - time.monotonic()
                     if remaining <= 0:
                         break
                     self._wake.wait(timeout=remaining)
@@ -311,6 +317,7 @@ class MicroBatcher:
                     )
             for request in taken:
                 request.done.set()
+            self._flushed_at = time.monotonic()
 
     # -- lifecycle / stats ---------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

@@ -88,6 +88,7 @@ class ModelServer:
             model, descriptor, entry = self.zoo.load_model(name)
             if self.dtype is not None:
                 model.astype(self.dtype)
+            model.eval()
             recorded = entry.manifest.get("input_shape")
             input_shape = (
                 tuple(int(dim) for dim in recorded)

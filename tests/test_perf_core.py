@@ -388,6 +388,17 @@ class TestInferenceMode:
         assert conv._cache_cols is None and conv._cache_input_shape is None
         assert not is_inference()  # the flag does not leak out of predict
 
+    def test_predict_restores_the_mode_it_found(self):
+        model = Sequential(Conv2d(3, 4, 3, rng=0), BatchNorm2d(4))
+        trainer = Trainer(TrainingConfig(epochs=0, batch_size=4))
+        images = np.random.default_rng(0).random((6, 3, 8, 8))
+        from_training = trainer.predict(model, images)
+        assert all(module.training for module in model.modules())
+        model.eval()
+        from_eval = trainer.predict(model, images)
+        assert not any(module.training for module in model.modules())
+        assert np.array_equal(from_training, from_eval)
+
     def test_residual_block_keeps_no_activation_in_inference(self):
         from repro.blocks.mobile import MobileInvertedBlock
         from repro.blocks.spec import BlockSpec

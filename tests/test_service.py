@@ -4,8 +4,10 @@ regularized-evolution strategy satellite."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import time
 import urllib.error
 import urllib.request
 
@@ -399,6 +401,34 @@ class TestDaemon:
         assert _comparable(report) == _comparable(direct.to_dict())
         assert handle.status()["state"] == "finished"
         assert any(run["run_id"] == handle.run_id for run in client.list_runs())
+
+    def test_keep_alive_exchanges_do_not_stall(self, run_service):
+        # A response sent as two segments (headers, then body) waits ~40 ms
+        # per exchange for the keep-alive client's delayed acknowledgement.
+        key = run_service.store.put(b"stored object bytes")
+        connection = http.client.HTTPConnection(
+            run_service.host, run_service.port, timeout=10
+        )
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.load(response)["ok"] is True
+            assert time.perf_counter() - started < 0.4
+            # A HEAD answer carries no body, or the next response on the
+            # same connection would be read from the wrong offset.
+            connection.request("HEAD", f"/store/{key}")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert response.read() == b""
+            connection.request("GET", f"/store/{key}")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert response.read() == b"stored object bytes"
+        finally:
+            connection.close()
 
     def test_invalid_json_body_is_structured_400(self, run_service):
         request = urllib.request.Request(

@@ -271,6 +271,50 @@ class TestMicroBatcher:
         finally:
             batcher.close()
 
+    def test_window_opens_when_the_batch_in_flight_finishes(self):
+        """A request queued behind a running batch is not flushed alone the
+        moment that batch ends: its window opens then, so a request arriving
+        shortly after joins it (a closed loop of clients stays one batch)."""
+        sizes = []
+        release = threading.Event()
+        in_flight = threading.Event()
+
+        def held_first_batch(batch):
+            sizes.append(batch.shape[0])
+            if len(sizes) == 1:
+                in_flight.set()
+                release.wait(timeout=30)
+            return _echo_first_column(batch)
+
+        batcher = MicroBatcher(
+            held_first_batch, max_batch_size=64, max_delay_ms=300.0, max_queue=128
+        )
+        results = {}
+
+        def submit(marker: float) -> None:
+            results[marker] = batcher.predict(np.full((1, 4), marker)).tolist()
+
+        threads = [threading.Thread(target=submit, args=(float(i),)) for i in range(3)]
+        try:
+            threads[0].start()
+            assert in_flight.wait(timeout=10)
+            threads[1].start()  # queued behind the running batch
+            deadline = time.monotonic() + 10
+            while batcher.stats()["queued_rows"] < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            time.sleep(0.45)  # past its own arrival + max_delay_ms
+            release.set()
+            time.sleep(0.05)  # inside the window the finished batch opened
+            threads[2].start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert sizes == [1, 2]
+            assert results == {0.0: [0.0], 1.0: [1.0], 2.0: [2.0]}
+        finally:
+            release.set()
+            batcher.close()
+
     def test_bounded_queue_raises_queue_full(self):
         release = threading.Event()
         in_flight = threading.Event()
@@ -389,6 +433,19 @@ class TestServingParity:
             TrainingConfig(batch_size=32, inference_batch_size=32)
         ).predict(model, inputs, batch_size=inputs.shape[0])
         assert np.array_equal(served, direct)
+
+    def test_served_model_is_loaded_in_eval_mode(self, promoted):
+        # Loaded once in eval mode, so Trainer.predict has no mode to toggle
+        # (two walks of the module tree) on every served batch.
+        zoo, _entry = promoted
+        server = ModelServer(zoo.root, max_batch_size=8, max_delay_ms=1.0)
+        try:
+            server.predict("tiny", np.zeros((2, 3, 10, 10)))
+            model = server._get_served("tiny").model
+        finally:
+            server.close()
+        assert model.training is False
+        assert not any(module.training for module in model.modules())
 
     def test_instrumentation_toggle_leaves_predictions_bit_identical(self, promoted):
         zoo, _entry = promoted
@@ -630,6 +687,16 @@ class TestDaemonServing:
         )
         assert b"408" in response.split(b"\r\n", 1)[0]
         assert b"request-timeout" in response
+
+    def test_version_less_request_line_gets_status_and_headers(self, serving_daemon):
+        # The daemon writes each response through the stdlib's header buffer,
+        # which an HTTP/0.9 request line (no version) would never start.
+        service, _run_id = serving_daemon
+        response = _raw_http(service.host, service.port, b"GET /healthz\r\n\r\n")
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0].startswith(b"HTTP/1.1 200")
+        assert b"Connection: close" in head
+        assert json.loads(body)["ok"] is True
 
 
 # -- the CLI surface -----------------------------------------------------------------
