@@ -9,9 +9,8 @@ bit-for-bit equal to a local run.  The package splits along trust lines:
 * :mod:`repro.fleet.pool` -- :class:`RemoteWorkerPool`, the
   ``map_ordered`` backend the engine sees (``EngineConfig(backend="fleet")``).
 * :mod:`repro.fleet.agent` -- the remote worker process behind
-  ``repro-search agent``.
-* :mod:`repro.fleet.retry` -- the one shared deterministic
-  :class:`RetryPolicy` (also used by :mod:`repro.service.remote`).
+  ``repro-search agent``; its calls retry on the shared deterministic
+  :class:`RetryPolicy` of :mod:`repro.utils.http` (re-exported here).
 * :mod:`repro.fleet.chaos` -- deterministic fault injection for the tests
   and ``bench_fleet.py``.
 
@@ -32,8 +31,8 @@ from repro.fleet.pool import (
     install_supervisor,
     installed_supervisor,
 )
-from repro.fleet.retry import RetryPolicy
 from repro.fleet.supervisor import FleetConfig, FleetSupervisor, UnknownAgent
+from repro.utils.http import RetryPolicy
 
 __all__ = [
     "AgentKilled",

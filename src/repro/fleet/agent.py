@@ -21,39 +21,34 @@ that keeps leases renewed), and otherwise loops pull-execute-complete:
   seconds of continuous unreachability before the agent gives it up for
   dead and exits on its own.
 
-All transports run through the shared
-:class:`~repro.fleet.retry.RetryPolicy`, and every call first consults an
-optional :class:`~repro.fleet.chaos.ChaosPolicy`, which is how the tests and
-``bench_fleet.py`` inject dropped messages, duplicate sends, mid-task agent
-death (:class:`~repro.fleet.chaos.AgentKilled`) and stalled heartbeats
-without touching any production code path.
+All calls run through the shared :class:`~repro.utils.http.HttpClient`
+and its :class:`~repro.utils.http.RetryPolicy`, and every attempt first
+consults an optional :class:`~repro.fleet.chaos.ChaosPolicy`, which is how
+the tests and ``bench_fleet.py`` inject dropped messages, duplicate sends,
+mid-task agent death (:class:`~repro.fleet.chaos.AgentKilled`) and stalled
+heartbeats without touching any production code path.
 """
 
 from __future__ import annotations
 
 import base64
-import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Dict, List, Optional
 
 from repro.fleet.chaos import AgentKilled, ChaosPolicy
 from repro.fleet.pool import run_task
-from repro.fleet.retry import RetryPolicy
 from repro.fleet.supervisor import UnknownAgent
+from repro.utils.http import HttpClient, HttpStatusError, RetryPolicy
 
-_JSON_HEADERS = {"Content-Type": "application/json"}
 
-
-class FleetClient:
+class FleetClient(HttpClient):
     """The agent's HTTP client for the daemon's ``/agents/*`` endpoints.
 
-    Chaos hooks wrap the transport itself: a dropped call raises before any
-    bytes leave the process, a duplicated call is sent twice back-to-back --
-    so fault injection exercises exactly the retry/fencing paths real
-    network faults would.
+    Chaos hooks wrap each attempt of the transport itself: a dropped call
+    raises before any bytes leave the process, a duplicated call is sent
+    twice back-to-back -- so fault injection exercises exactly the
+    retry/fencing paths real network faults would.
     """
 
     def __init__(
@@ -63,51 +58,34 @@ class FleetClient:
         retry: Optional[RetryPolicy] = None,
         chaos: Optional[ChaosPolicy] = None,
     ):
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.retry = retry or RetryPolicy()
+        super().__init__(base_url, timeout, retry)
         self.chaos = chaos
+
+    def send(self, method: str, path: str, *args: Any) -> bytes:
+        """One attempt, after the chaos verdict for it (drop/delay/duplicate)."""
+        if self.chaos is None:
+            return super().send(method, path, *args)
+        verdict = self.chaos.on_send(path.rsplit("/", 1)[-1])
+        if verdict.delay_seconds > 0:
+            time.sleep(verdict.delay_seconds)
+        verdict.raise_if_dropped()
+        response = super().send(method, path, *args)
+        if verdict.duplicated:
+            try:
+                super().send(method, path, *args)
+            except Exception:
+                pass  # the duplicate is injected noise, never load-bearing
+        return response
 
     def _post(
         self, op: str, payload: Dict[str, Any], idempotent: bool
     ) -> Dict[str, Any]:
-        def send_once() -> Dict[str, Any]:
-            if self.chaos is not None:
-                verdict = self.chaos.on_send(op)
-                if verdict.delay_seconds > 0:
-                    time.sleep(verdict.delay_seconds)
-                verdict.raise_if_dropped()
-                response = self._http(op, payload)
-                if verdict.duplicated:
-                    try:
-                        self._http(op, payload)
-                    except Exception:
-                        pass  # the duplicate is injected noise, never load-bearing
-                return response
-            return self._http(op, payload)
-
         try:
-            return self.retry.call(send_once, idempotent=idempotent)
-        except urllib.error.HTTPError as error:
-            raise self._map_error(error, payload) from None
-
-    def _http(self, op: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-        request = urllib.request.Request(
-            f"{self.base_url}/agents/{op}",
-            data=json.dumps(payload).encode("utf-8"),
-            headers=_JSON_HEADERS,
-            method="POST",
-        )
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
-            return json.load(response)
-
-    @staticmethod
-    def _map_error(
-        error: urllib.error.HTTPError, payload: Dict[str, Any]
-    ) -> Exception:
-        if error.code == 404:
-            return UnknownAgent(str(payload.get("agent_id", "?")))
-        return error
+            return self.json("POST", f"/agents/{op}", payload, idempotent=idempotent)
+        except HttpStatusError as error:
+            if error.status == 404:
+                raise UnknownAgent(str(payload.get("agent_id", "?"))) from None
+            raise
 
     # -- the four protocol calls ----------------------------------------------------
     def register(self, name: Optional[str] = None) -> Dict[str, Any]:
@@ -226,7 +204,7 @@ class WorkerAgent:
         while not self._stop.is_set():
             try:
                 info = self.client.register(self.requested_name)
-            except (urllib.error.URLError, ConnectionError, OSError):
+            except (HttpStatusError, OSError):  # any error status or no answer
                 if deadline is not None and time.monotonic() >= deadline:
                     raise TimeoutError(
                         f"no daemon at {self.client.base_url} within "

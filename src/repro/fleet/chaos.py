@@ -11,7 +11,7 @@ Faults modelled (all consumed by :class:`~repro.fleet.agent.WorkerAgent` and
 its HTTP client):
 
 * **drop** -- the request never reaches the daemon; the client sees a
-  connection error (exercises :class:`~repro.fleet.retry.RetryPolicy`).
+  connection error (exercises :class:`~repro.utils.http.RetryPolicy`).
 * **delay** -- the request is held for a fixed time before sending
   (exercises lease deadlines under slow links).
 * **duplicate** -- the request is sent twice (exercises idempotent

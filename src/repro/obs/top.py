@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import sys
 import time
-import urllib.request
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import parse_prometheus_text
+from repro.utils.http import HttpClient
 
 Samples = Dict[str, List[Dict[str, Any]]]
 
@@ -25,10 +25,8 @@ _CLEAR = "\x1b[2J\x1b[H"
 
 def fetch_metrics(url: str, timeout: float = 10.0) -> Samples:
     """Scrape and parse ``<url>/metrics``."""
-    with urllib.request.urlopen(
-        f"{url.rstrip('/')}/metrics", timeout=timeout
-    ) as response:
-        return parse_prometheus_text(response.read().decode("utf-8"))
+    raw = HttpClient(url, timeout).request("GET", "/metrics")
+    return parse_prometheus_text(raw.decode("utf-8"))
 
 
 def sample_value(

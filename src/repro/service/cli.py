@@ -465,6 +465,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_top(args: argparse.Namespace) -> int:
     """Live dashboard over a daemon's /metrics and run registry."""
     from repro.obs.top import run_top
+    from repro.utils.http import HttpStatusError
 
     if not args.url:
         print(
@@ -480,7 +481,7 @@ def cmd_top(args: argparse.Namespace) -> int:
             iterations=1 if args.once else None,
             clear=not args.once,
         )
-    except OSError as error:
+    except (OSError, HttpStatusError) as error:
         print(f"error: cannot reach {args.url}: {error}", file=sys.stderr)
         return 2
 

@@ -41,6 +41,9 @@ content-addressed artifact store (see :mod:`repro.store`): engines pointed
 at this daemon with ``--store-url`` share evaluation results through it, so
 each unique ``(context, child, fidelity)`` trains once fleet-wide.
 
+Dispatch is one ordered route table, ``_RequestHandler.routes``, of these
+endpoints; a request that matches no row gets 404 and a closed connection.
+
 Errors are structured: ``{"error": {"type", "message"}}`` with 400 for
 invalid specs/JSON, 404 for unknown runs/models/agents/endpoints, 408 for a
 body read that timed out, 409 for a report requested before the run
@@ -66,7 +69,7 @@ import threading
 import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -211,47 +214,15 @@ class _RequestHandler(BaseHTTPRequestHandler):
             raise _HttpError(411, "length-required", "request body required")
         return raw
 
-    def _route(self) -> Tuple[str, Optional[str], Optional[str], Dict[str, str]]:
-        """Split the path into (root, run_id, action, query)."""
-        split = urllib.parse.urlsplit(self.path)
-        query = {
-            key: values[-1]
-            for key, values in urllib.parse.parse_qs(split.query).items()
-        }
-        parts = [part for part in split.path.split("/") if part]
-        root = parts[0] if parts else ""
-        run_id = urllib.parse.unquote(parts[1]) if len(parts) > 1 else None
-        action = parts[2] if len(parts) > 2 else None
-        if len(parts) > 3:
-            raise _NotFoundPath()
-        return root, run_id, action, query
-
     # -- request dispatch ----------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-    def do_PUT(self) -> None:  # noqa: N802
-        self._dispatch("PUT")
-
-    def do_HEAD(self) -> None:  # noqa: N802
-        self._dispatch("HEAD")
-
-    def _dispatch(self, method: str) -> None:
+    def _dispatch(self) -> None:
         try:
-            root, run_id, action, query = self._route()
-            handler = self._resolve_handler(method, root, run_id, action)
-            handler(run_id, query)
+            handler, captures = self._match(self.command)
+            handler(self, *captures)
         except _HttpError as error:
             if error.close:
                 self.close_connection = True
             self._send_error_json(error.status, error.kind, error.message)
-        except _NotFoundPath:
-            self._send_error_json(
-                404, "unknown-endpoint", f"no such endpoint: {method} {self.path}"
-            )
         except RunNotFound as error:
             self._send_error_json(404, "unknown-run", str(error))
         except ModelNotFound as error:
@@ -271,74 +242,28 @@ class _RequestHandler(BaseHTTPRequestHandler):
         except Exception as error:  # no stack traces over the wire
             self._send_error_json(500, "internal-error", f"{type(error).__name__}: {error}")
 
-    def _resolve_handler(
-        self, method: str, root: str, run_id: Optional[str], action: Optional[str]
-    ):
-        if method == "GET" and root == "healthz" and run_id is None:
-            return self._get_health
-        if method == "GET" and root == "metrics" and run_id is None:
-            return self._get_metrics
-        if root == "models":
-            if method == "GET" and run_id is None:
-                return self._get_models
-            if method == "POST" and run_id == "promote" and action is None:
-                return self._post_promote
-            if method == "POST" and run_id is not None and action == "predict":
-                return self._post_predict
-            raise _NotFoundPath()
-        if root == "agents":
-            if method == "GET" and run_id is None:
-                return self._get_agents
-            ops = ("register", "heartbeat", "lease", "complete")
-            if method == "POST" and run_id in ops and action is None:
-                return getattr(self, f"_post_agent_{run_id}")
-            raise _NotFoundPath()
-        if root == "store":
-            # Object keys are 64-hex (KEY_PATTERN), so they can never
-            # collide with the "stats"/"refs"/"has" path literals.
-            if method == "GET" and run_id == "stats" and action is None:
-                return self._get_store_stats
-            if run_id == "refs" and action is not None:
-                name = urllib.parse.unquote(action)
-                if method == "GET":
-                    return lambda _id, query: self._get_store_ref(name, query)
-                if method == "PUT":
-                    return lambda _id, query: self._put_store_ref(name, query)
-            if method == "POST" and run_id == "has" and action is None:
-                return self._post_store_has
-            if run_id is not None and action is None:
-                if method == "GET":
-                    return self._get_store_object
-                if method == "HEAD":
-                    return self._head_store_object
-                if method == "PUT":
-                    return self._put_store_object
-            raise _NotFoundPath()
-        if root != "runs":
-            raise _NotFoundPath()
-        if method == "GET":
-            if run_id is None:
-                return self._get_runs
-            if action is None:
-                return self._get_status
-            if action == "report":
-                return self._get_report
-            if action == "events":
-                return self._get_events
-        if method == "POST":
-            if run_id is None and action is None:
-                return self._post_submit
-            if action == "cancel":
-                return self._post_cancel
-            if action == "resume":
-                return self._post_resume
-        raise _NotFoundPath()
+    # http.server's per-method entry points (other methods get its 501).
+    do_GET = do_POST = do_PUT = do_HEAD = _dispatch
+
+    def _match(self, method: str) -> Tuple[Callable[..., None], List[str]]:
+        """The first of :attr:`routes` this request matches, and its captures."""
+        path = urllib.parse.urlsplit(self.path).path
+        parts = [urllib.parse.unquote(part) for part in path.split("/") if part]
+        for route_method, pattern, handler in self.routes:
+            if route_method == method and len(pattern) == len(parts):
+                pairs = list(zip(pattern, parts))
+                if all(want in ("*", got) for want, got in pairs):
+                    return handler, [got for want, got in pairs if want == "*"]
+        raise _HttpError(  # closes: the unread body would parse as a request
+            404, "unknown-endpoint", f"no such endpoint: {method} {self.path}",
+            close=True,
+        )
 
     # -- endpoint implementations ---------------------------------------------------
-    def _get_health(self, run_id: Optional[str], query: Dict[str, str]) -> None:
+    def _get_health(self) -> None:
         self._send_json(200, {"ok": True, "runs_root": self.executor.registry.root})
 
-    def _get_metrics(self, run_id: Optional[str], query: Dict[str, str]) -> None:
+    def _get_metrics(self) -> None:
         """Prometheus text exposition of the process-global registry.
 
         Engines mirror their per-run registries into the global one, so this
@@ -352,7 +277,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             "text/plain; version=0.0.4; charset=utf-8",
         )
 
-    def _post_submit(self, run_id: Optional[str], query: Dict[str, str]) -> None:
+    def _post_submit(self) -> None:
         payload = self._read_json_body(required=True)
         spec = RunSpec.from_dict(payload)  # ValueError -> structured 400
         submitted = self.executor.submit(spec)
@@ -360,20 +285,25 @@ class _RequestHandler(BaseHTTPRequestHandler):
             201, {"run_id": submitted, "status": self.executor.status(submitted)}
         )
 
-    def _get_runs(self, run_id: Optional[str], query: Dict[str, str]) -> None:
+    def _get_runs(self) -> None:
         self._send_json(200, {"runs": self.executor.list_runs()})
 
-    def _get_status(self, run_id: Optional[str], query: Dict[str, str]) -> None:
+    def _get_status(self, run_id: str) -> None:
         self._send_json(200, self.executor.status(run_id))
 
-    def _get_report(self, run_id: Optional[str], query: Dict[str, str]) -> None:
+    def _get_report(self, run_id: str) -> None:
         self._send_json(200, self.executor.report(run_id))
 
-    def _get_events(self, run_id: Optional[str], query: Dict[str, str]) -> None:
+    def _get_events(self, run_id: str) -> None:
+        query = urllib.parse.parse_qs(urllib.parse.urlsplit(self.path).query)
         try:
-            since = int(query.get("since", "0"))
+            since = int(query.get("since", ["0"])[-1])
         except ValueError:
-            raise _BadRequest("invalid-query", "'since' must be an integer")
+            since = -1
+        if since < 0:  # a negative cursor would answer a `next` behind the start
+            raise _BadRequest(
+                "invalid-query", "'since' must be a non-negative integer"
+            )
         events = list(self.executor.events(run_id, since=since, follow=False))
         state = self.executor.status(run_id)["state"]
         self._send_json(
@@ -385,11 +315,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
             },
         )
 
-    def _post_cancel(self, run_id: Optional[str], query: Dict[str, str]) -> None:
+    def _post_cancel(self, run_id: str) -> None:
         self._read_json_body()  # drain (and validate) any body
         self._send_json(200, self.executor.cancel(run_id))
 
-    def _post_resume(self, run_id: Optional[str], query: Dict[str, str]) -> None:
+    def _post_resume(self, run_id: str) -> None:
         self._read_json_body()
         resumed = self.executor.resume(run_id)
         self._send_json(
@@ -397,10 +327,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
         )
 
     # -- serving endpoints ----------------------------------------------------------
-    def _get_models(self, run_id: Optional[str], query: Dict[str, str]) -> None:
+    def _get_models(self) -> None:
         self._send_json(200, {"models": self.model_server.models()})
 
-    def _post_promote(self, run_id: Optional[str], query: Dict[str, str]) -> None:
+    def _post_promote(self) -> None:
         payload = self._read_json_body(required=True)
         if not isinstance(payload, dict) or "run_id" not in payload:
             raise _BadRequest(
@@ -418,7 +348,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.model_server.invalidate(entry.name)
         self._send_json(201, {"model": entry.manifest})
 
-    def _post_predict(self, run_id: Optional[str], query: Dict[str, str]) -> None:
+    def _post_predict(self, name: str) -> None:
         payload = self._read_json_body(required=True)
         if not isinstance(payload, dict) or "inputs" not in payload:
             raise _BadRequest(
@@ -428,37 +358,36 @@ class _RequestHandler(BaseHTTPRequestHandler):
             inputs = np.asarray(payload["inputs"], dtype=np.float64)
         except (TypeError, ValueError) as error:
             raise _BadRequest("invalid-inputs", f"inputs are not numeric: {error}")
-        predictions = self.model_server.predict(run_id, inputs)
+        predictions = self.model_server.predict(name, inputs)
         self._send_json(
             200,
             {
-                "model": run_id,
+                "model": name,
                 "count": int(predictions.shape[0]),
                 "predictions": [int(value) for value in predictions],
             },
         )
 
-
     # -- store endpoints (the shared artifact store; see repro.store) ----------------
-    def _get_store_object(self, key: Optional[str], query: Dict[str, str]) -> None:
+    def _get_store_object(self, key: str) -> None:
         data = self.store.get(self._store_key(key))
         if data is None:
             raise _HttpError(404, "unknown-object", f"no object {key}")
         self._send(200, data, "application/octet-stream")
 
-    def _head_store_object(self, key: Optional[str], query: Dict[str, str]) -> None:
+    def _head_store_object(self, key: str) -> None:
         if not self.store.has(self._store_key(key)):
             raise _HttpError(404, "unknown-object", f"no object {key}")
         self._send(200, b"", "application/octet-stream")
 
-    def _put_store_object(self, key: Optional[str], query: Dict[str, str]) -> None:
+    def _put_store_object(self, key: str) -> None:
         data = self._read_body(required=True)
         # put_object verifies sha256(body) == key; a mismatch raises
         # StoreCorruptWrite -> structured 400, nothing persisted.
         self.store.put_object(self._store_key(key), data)
         self._send_json(201, {"key": key, "size": len(data)})
 
-    def _post_store_has(self, run_id: Optional[str], query: Dict[str, str]) -> None:
+    def _post_store_has(self) -> None:
         payload = self._read_json_body(required=True)
         if not isinstance(payload, dict) or not isinstance(
             payload.get("keys"), list
@@ -467,13 +396,13 @@ class _RequestHandler(BaseHTTPRequestHandler):
         keys = [self._store_key(str(key)) for key in payload["keys"]]
         self._send_json(200, {"present": self.store.has_many(keys)})
 
-    def _get_store_ref(self, name: str, query: Dict[str, str]) -> None:
+    def _get_store_ref(self, name: str) -> None:
         key = self.store.get_ref(self._store_key(name))
         if key is None:
             raise _HttpError(404, "unknown-ref", f"no ref {name}")
         self._send_json(200, {"name": name, "key": key})
 
-    def _put_store_ref(self, name: str, query: Dict[str, str]) -> None:
+    def _put_store_ref(self, name: str) -> None:
         payload = self._read_json_body(required=True)
         if not isinstance(payload, dict) or not isinstance(payload.get("key"), str):
             raise _BadRequest(
@@ -482,12 +411,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.store.set_ref(self._store_key(name), self._store_key(payload["key"]))
         self._send_json(200, {"ok": True, "name": name})
 
-    def _get_store_stats(self, run_id: Optional[str], query: Dict[str, str]) -> None:
+    def _get_store_stats(self) -> None:
         self._send_json(200, self.store.stats())
 
     @staticmethod
-    def _store_key(key: Optional[str]) -> str:
-        if key is None or not KEY_PATTERN.match(key):
+    def _store_key(key: str) -> str:
+        if not KEY_PATTERN.match(key):
             raise _BadRequest(
                 "invalid-store-key",
                 f"store keys are 64 lowercase hex characters, got {key!r}",
@@ -495,7 +424,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         return key
 
     # -- fleet endpoints (the worker-fabric protocol; see repro.fleet) ---------------
-    def _get_agents(self, run_id: Optional[str], query: Dict[str, str]) -> None:
+    def _get_agents(self) -> None:
         supervisor = self.supervisor
         self._send_json(
             200,
@@ -506,24 +435,18 @@ class _RequestHandler(BaseHTTPRequestHandler):
             },
         )
 
-    def _post_agent_register(
-        self, run_id: Optional[str], query: Dict[str, str]
-    ) -> None:
+    def _post_agent_register(self) -> None:
         payload = self._read_json_body()
         name = payload.get("name") if isinstance(payload, dict) else None
         info = self.supervisor.register_agent(None if name is None else str(name))
         self._send_json(201, info)
 
-    def _post_agent_heartbeat(
-        self, run_id: Optional[str], query: Dict[str, str]
-    ) -> None:
+    def _post_agent_heartbeat(self) -> None:
         payload = self._read_json_body(required=True)
         agent_id, active = self._agent_fields(payload)
         self._send_json(200, self.supervisor.heartbeat(agent_id, active))
 
-    def _post_agent_lease(
-        self, run_id: Optional[str], query: Dict[str, str]
-    ) -> None:
+    def _post_agent_lease(self) -> None:
         payload = self._read_json_body(required=True)
         agent_id, _active = self._agent_fields(payload)
         grant = self.supervisor.lease(agent_id)
@@ -534,9 +457,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             200, {"task": grant, "draining": self.supervisor.draining}
         )
 
-    def _post_agent_complete(
-        self, run_id: Optional[str], query: Dict[str, str]
-    ) -> None:
+    def _post_agent_complete(self) -> None:
         payload = self._read_json_body(required=True)
         agent_id, _active = self._agent_fields(payload)
         task_id = payload.get("task_id")
@@ -568,6 +489,40 @@ class _RequestHandler(BaseHTTPRequestHandler):
             )
         return payload["agent_id"], [str(task_id) for task_id in active]
 
+    # -- the route table: ordered, the first match wins -----------------------------
+    # A ``*`` matches one path segment, which reaches the handler unquoted as
+    # a positional argument; the store's literals come before its 64-hex keys.
+    # Patterns are split into segments once, here.
+    routes = [
+        (method, tuple(filter(None, pattern.split("/"))), handler)
+        for method, pattern, handler in (
+            ("GET", "/healthz", _get_health),
+            ("GET", "/metrics", _get_metrics),
+            ("GET", "/runs", _get_runs),
+            ("POST", "/runs", _post_submit),
+            ("GET", "/runs/*", _get_status),
+            ("GET", "/runs/*/report", _get_report),
+            ("GET", "/runs/*/events", _get_events),
+            ("POST", "/runs/*/cancel", _post_cancel),
+            ("POST", "/runs/*/resume", _post_resume),
+            ("GET", "/models", _get_models),
+            ("POST", "/models/promote", _post_promote),
+            ("POST", "/models/*/predict", _post_predict),
+            ("GET", "/agents", _get_agents),
+            ("POST", "/agents/register", _post_agent_register),
+            ("POST", "/agents/heartbeat", _post_agent_heartbeat),
+            ("POST", "/agents/lease", _post_agent_lease),
+            ("POST", "/agents/complete", _post_agent_complete),
+            ("GET", "/store/stats", _get_store_stats),
+            ("POST", "/store/has", _post_store_has),
+            ("GET", "/store/refs/*", _get_store_ref),
+            ("PUT", "/store/refs/*", _put_store_ref),
+            ("GET", "/store/*", _get_store_object),
+            ("HEAD", "/store/*", _head_store_object),
+            ("PUT", "/store/*", _put_store_object),
+        )
+    ]
+
 
 class _HttpError(Exception):
     """A structured HTTP error with an explicit status code."""
@@ -583,10 +538,6 @@ class _HttpError(Exception):
 class _BadRequest(_HttpError):
     def __init__(self, kind: str, message: str):
         super().__init__(400, kind, message)
-
-
-class _NotFoundPath(Exception):
-    pass
 
 
 class RunService:

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 import uuid
 from typing import Any, Dict, List, Optional
 
 from repro.api.spec import RunSpec
 from repro.service.errors import RunNotFound
+from repro.utils.serialization import atomic_write_text
 
 RUN_SPEC_JSON = "run_spec.json"
 STATUS_JSON = "status.json"
@@ -45,33 +45,9 @@ TERMINAL_STATES = (FINISHED, FAILED, CANCELLED)
 
 
 def atomic_write_json(path: str, payload: Any) -> None:
-    """Durably replace ``path`` with ``payload`` as JSON; never torn, never
-    clobbered by a concurrent writer.
-
-    The temp file comes from ``mkstemp`` *in the destination directory* --
-    unique per writer (two daemons on a shared runs root cannot truncate
-    each other's half-written temp file, unlike a fixed ``<path>.tmp``) and
-    on the same filesystem, so the final ``os.replace`` is atomic.  The
-    ``fsync`` before the rename keeps a power loss from leaving the new name
-    pointing at not-yet-flushed data; without it a crashed daemon could
-    leave exactly the torn JSON this function exists to prevent.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(
-        dir=directory, prefix=f".{os.path.basename(path)}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except FileNotFoundError:
-            pass
-        raise
+    """Durably replace ``path`` with ``payload`` as JSON (see
+    :func:`~repro.utils.serialization.atomic_write_text`)."""
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def new_run_id() -> str:

@@ -9,27 +9,27 @@ that comes back (statuses, reports, events) is plain JSON -- events are
 rebuilt into typed :class:`~repro.engine.events.EngineEvent` objects via
 ``EngineEvent.from_dict``, so consumers cannot tell the transports apart.
 
-Transport faults are handled by the fleet's shared
-:class:`~repro.fleet.retry.RetryPolicy`: connection-refused (a daemon
+Requests go through the shared :class:`~repro.utils.http.HttpClient` and
+its :class:`~repro.utils.http.RetryPolicy`: connection-refused (a daemon
 restarting) and 5xx answers (a daemon draining) retry on its deterministic
 backoff schedule, while 4xx answers and non-idempotent calls -- submitting,
 resuming, promoting -- never retry (a duplicate POST would duplicate the
 work).  Every request carries an explicit timeout, so a stalled read fails
-fast instead of wedging the caller forever.
+fast instead of wedging the caller forever.  What is left after the retries
+maps onto the service's own errors here.
 """
 
 from __future__ import annotations
 
 import json
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.api.run import _resolve_spec
 from repro.engine.events import EngineEvent
-from repro.fleet.retry import RetryPolicy
 from repro.service import registry as reg
 from repro.service.errors import (
     RunCancelled,
@@ -38,85 +38,56 @@ from repro.service.errors import (
     RunNotReady,
     ServiceError,
 )
+from repro.utils.http import HttpClient, HttpStatusError, Unreachable
 
-_JSON_HEADERS = {"Content-Type": "application/json"}
 
-
-class ServiceExecutor:
+class ServiceExecutor(HttpClient):
     """Talks to a ``repro-search serve`` daemon over HTTP."""
 
-    def __init__(
-        self,
-        base_url: str,
-        timeout: float = 10.0,
-        retry: Optional[RetryPolicy] = None,
-    ):
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.retry = retry or RetryPolicy()
-
-    # -- HTTP plumbing -------------------------------------------------------------
-    def _request(
+    def _call(
         self,
         method: str,
         path: str,
         payload: Optional[Dict[str, Any]] = None,
         run_id: Optional[str] = None,
-        timeout: Optional[float] = None,
-        idempotent: bool = True,
-        max_attempts: Optional[int] = None,
+        **options: Any,
     ) -> Dict[str, Any]:
-        """One JSON round trip under the shared retry policy.
+        """One JSON round trip, its failures mapped onto the service errors.
 
-        ``idempotent=False`` pins the call to a single attempt -- the
-        resubmission of a mutating POST whose *response* was lost could have
-        landed twice.  Reads and fenced/cancel-style POSTs retry through
-        connection faults and 5xx answers on the policy's deterministic
-        backoff schedule; 4xx answers surface immediately.
+        ``options`` go to :meth:`HttpClient.request`; ``idempotent=False``
+        pins a mutating POST to one attempt (resent after a lost response,
+        it could land twice).
         """
-        data = None if payload is None else json.dumps(payload).encode("utf-8")
-
-        def attempt() -> Dict[str, Any]:
-            request = urllib.request.Request(
-                f"{self.base_url}{path}",
-                data=data,
-                headers=_JSON_HEADERS if data is not None else {},
-                method=method,
-            )
-            with urllib.request.urlopen(
-                request, timeout=self.timeout if timeout is None else timeout
-            ) as response:
-                return json.load(response)
-
         try:
-            return self.retry.call(
-                attempt, idempotent=idempotent, max_attempts=max_attempts
-            )
-        except urllib.error.HTTPError as error:
+            return self.json(method, path, payload, **options)
+        except HttpStatusError as error:
             raise self._map_error(error, run_id) from None
-        except urllib.error.URLError as error:
+        except Unreachable as error:
             raise ServiceError(
-                f"run service unreachable at {self.base_url}: {error.reason}"
+                f"run service unreachable at {self.base_url}: {error}"
             ) from None
 
-    def _map_error(
-        self, error: urllib.error.HTTPError, run_id: Optional[str]
-    ) -> Exception:
+    @staticmethod
+    def _map_error(error: HttpStatusError, run_id: Optional[str]) -> Exception:
         """Translate the daemon's structured errors into the shared types."""
         message = ""
         try:
-            body = json.loads(error.read().decode("utf-8", "replace"))
+            body = json.loads(error.body.decode("utf-8", "replace"))
             message = str(body.get("error", {}).get("message", ""))
         except (ValueError, AttributeError):
             pass
-        message = message or f"HTTP {error.code}"
-        if error.code == 404 and run_id is not None:
+        message = message or f"HTTP {error.status}"
+        if error.status == 404 and run_id is not None:
             return RunNotFound(run_id)
-        if error.code == 400:
+        if error.status == 400:
             return ValueError(message)
-        if error.code == 409 and run_id is not None:
+        if error.status == 409 and run_id is not None:
             return RunNotReady(run_id, message)
-        return ServiceError(message, status=error.code)
+        return ServiceError(message, status=error.status)
+
+    @staticmethod
+    def _run_path(run_id: str, suffix: str = "") -> str:
+        return f"/runs/{urllib.parse.quote(run_id, safe='')}{suffix}"
 
     # -- the Executor protocol ------------------------------------------------------
     def submit(self, spec: Any, **options: Any) -> str:
@@ -135,16 +106,15 @@ class ServiceExecutor:
         resolved = _resolve_spec(spec)
         # A retried submission whose first response was dropped would enqueue
         # the run twice -- one attempt only.
-        response = self._request(
+        response = self._call(
             "POST", "/runs", payload=resolved.to_dict(), idempotent=False
         )
         return str(response["run_id"])
 
     def resume(self, run_id: str) -> str:
-        quoted = urllib.parse.quote(run_id, safe="")
-        response = self._request(
+        response = self._call(
             "POST",
-            f"/runs/{quoted}/resume",
+            self._run_path(run_id, "/resume"),
             payload={},
             run_id=run_id,
             idempotent=False,  # a duplicate resume re-queues the run twice
@@ -152,12 +122,10 @@ class ServiceExecutor:
         return str(response["run_id"])
 
     def status(self, run_id: str) -> Dict[str, Any]:
-        quoted = urllib.parse.quote(run_id, safe="")
-        return self._request("GET", f"/runs/{quoted}", run_id=run_id)
+        return self._call("GET", self._run_path(run_id), run_id=run_id)
 
     def report(self, run_id: str) -> Dict[str, Any]:
-        quoted = urllib.parse.quote(run_id, safe="")
-        return self._request("GET", f"/runs/{quoted}/report", run_id=run_id)
+        return self._call("GET", self._run_path(run_id, "/report"), run_id=run_id)
 
     def result(
         self, run_id: str, timeout: Optional[float] = None, poll_interval: float = 0.3
@@ -180,9 +148,8 @@ class ServiceExecutor:
             time.sleep(poll_interval)
 
     def cancel(self, run_id: str) -> Dict[str, Any]:
-        quoted = urllib.parse.quote(run_id, safe="")
-        return self._request(
-            "POST", f"/runs/{quoted}/cancel", payload={}, run_id=run_id
+        return self._call(
+            "POST", self._run_path(run_id, "/cancel"), payload={}, run_id=run_id
         )
 
     def events(
@@ -206,15 +173,14 @@ class ServiceExecutor:
     def _events_page(
         self, run_id: str, since: int
     ) -> Tuple[List[EngineEvent], int, bool]:
-        quoted = urllib.parse.quote(run_id, safe="")
-        response = self._request(
-            "GET", f"/runs/{quoted}/events?since={since}", run_id=run_id
+        response = self._call(
+            "GET", self._run_path(run_id, f"/events?since={since}"), run_id=run_id
         )
         events = [EngineEvent.from_dict(entry) for entry in response["events"]]
         return events, int(response["next"]), bool(response["done"])
 
     def list_runs(self) -> List[Dict[str, Any]]:
-        return list(self._request("GET", "/runs")["runs"])
+        return list(self._call("GET", "/runs")["runs"])
 
     # -- the model zoo ---------------------------------------------------------------
     def promote(self, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -224,7 +190,7 @@ class ServiceExecutor:
         outlast the default request timeout by a wide margin -- give it ten
         minutes instead.
         """
-        response = self._request(
+        response = self._call(
             "POST",
             "/models/promote",
             payload=payload,
@@ -235,13 +201,20 @@ class ServiceExecutor:
         return dict(response["model"])
 
     def list_models(self) -> List[Dict[str, Any]]:
-        return list(self._request("GET", "/models")["models"])
+        return list(self._call("GET", "/models")["models"])
+
+    def predict(self, name: str, inputs: Any) -> List[int]:
+        """POST /models/<name>/predict; the served class of every input row."""
+        response = self._call(
+            "POST",
+            f"/models/{urllib.parse.quote(name, safe='')}/predict",
+            payload={"inputs": np.asarray(inputs, dtype=np.float64).tolist()},
+        )
+        return [int(value) for value in response["predictions"]]
 
     def healthy(self) -> bool:
         """True when the daemon answers its health endpoint (single probe)."""
         try:
-            return bool(
-                self._request("GET", "/healthz", max_attempts=1).get("ok")
-            )
+            return bool(self._call("GET", "/healthz", max_attempts=1).get("ok"))
         except ServiceError:
             return False

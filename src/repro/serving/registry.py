@@ -63,7 +63,7 @@ from repro.service import registry as runs_registry
 from repro.service.errors import RunNotReady
 from repro.service.registry import RunRegistry
 from repro.utils.fingerprint import combine_fingerprints
-from repro.utils.serialization import load_json, save_json
+from repro.utils.serialization import atomic_write_text, load_json, save_json
 from repro.zoo.descriptors import ArchitectureDescriptor
 
 DEFAULT_ZOO_ROOT = "zoo"
@@ -231,6 +231,12 @@ class ZooRegistry:
                 return load_arrays_bytes(data)
         return load_arrays(os.path.join(self.root, manifest["weights_blob"]))
 
+    def set_latest(self, name: str, version: str) -> None:
+        """Point ``name``'s ``latest`` at ``version``; safe under concurrent
+        promotions (the daemon runs them on a threading server)."""
+        pointer = os.path.join(self.root, name, LATEST_POINTER)
+        atomic_write_text(pointer, f"{version}\n")
+
     # -- promotion ----------------------------------------------------------------
     def promote_run(
         self,
@@ -363,10 +369,7 @@ class ZooRegistry:
                 "search_unfairness": record.unfairness,
             },
         )
-        pointer = os.path.join(self.root, resolved_name, LATEST_POINTER)
-        with open(f"{pointer}.tmp", "w", encoding="utf-8") as handle:
-            handle.write(f"{version}\n")
-        os.replace(f"{pointer}.tmp", pointer)
+        self.set_latest(resolved_name, version)
         return ZooEntry(
             name=resolved_name, version=version, path=entry_dir, manifest=manifest
         )

@@ -11,8 +11,8 @@ three layers:
   namespace mapping cache fingerprints to content keys, and ref-count-aware
   LRU eviction under a configurable byte budget.
 * :class:`RemoteStore` -- the same operations spoken over a
-  ``repro-search serve`` daemon's ``/store/*`` endpoints, with the fleet's
-  deterministic jitter-free :class:`~repro.fleet.retry.RetryPolicy`.
+  ``repro-search serve`` daemon's ``/store/*`` endpoints, with the shared
+  deterministic jitter-free :class:`~repro.utils.http.RetryPolicy`.
   Transport faults raise :class:`StoreUnavailable`.
 * :class:`TieredStore` -- local-first reads with read-through population
   from the remote tier and write-through publication to it.  The first

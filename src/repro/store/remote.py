@@ -14,10 +14,11 @@ weight blobs), everything else is JSON::
 
 Every operation is idempotent -- content-addressed puts store the same bytes
 under the same name, and the evaluation tier's refs are written with
-deterministic values -- so all of them retry on the fleet's shared
-jitter-free :class:`~repro.fleet.retry.RetryPolicy`.  Faults split cleanly:
-a 404 is a miss (None/False), a connection-level failure or a post-retry
-5xx raises :class:`~repro.store.core.StoreUnavailable` (the signal
+deterministic values -- so all of them retry on the jitter-free
+:class:`~repro.utils.http.RetryPolicy` of the shared
+:class:`~repro.utils.http.HttpClient` transport.  Faults split cleanly: a
+404 is a miss (None/False), a connection-level failure or a post-retry 5xx
+raises :class:`~repro.store.core.StoreUnavailable` (the signal
 :class:`~repro.store.tiered.TieredStore` degrades on), any other status is a
 :class:`~repro.store.core.StoreError` caller bug.
 
@@ -29,9 +30,7 @@ returned.
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.store.core import (
     KEY_PATTERN,
@@ -39,9 +38,7 @@ from repro.store.core import (
     StoreUnavailable,
     object_key,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fleet.retry import RetryPolicy
+from repro.utils.http import HttpClient, HttpStatusError, Unreachable
 
 _OCTET_HEADERS = {"Content-Type": "application/octet-stream"}
 _JSON_HEADERS = {"Content-Type": "application/json"}
@@ -50,28 +47,11 @@ _JSON_HEADERS = {"Content-Type": "application/json"}
 _MISS = object()
 
 
-class RemoteStore:
+class RemoteStore(HttpClient):
     """Client for the daemon's ``/store/*`` endpoints."""
 
-    def __init__(
-        self,
-        base_url: str,
-        timeout: float = 10.0,
-        retry: Optional["RetryPolicy"] = None,
-    ):
-        if retry is None:
-            # Imported lazily: repro.fleet's package init reaches the engine,
-            # which imports repro.store back -- a top-level import here would
-            # make ``import repro.store`` order-dependent.
-            from repro.fleet.retry import RetryPolicy
+    corrupt_reads = 0  # reads that failed hash verification (per instance)
 
-            retry = RetryPolicy()
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.retry = retry
-        self.corrupt_reads = 0
-
-    # -- HTTP plumbing -------------------------------------------------------------
     def _request(
         self,
         method: str,
@@ -80,35 +60,23 @@ class RemoteStore:
         headers: Optional[Dict[str, str]] = None,
     ):
         """One raw round trip under the retry policy; ``_MISS`` on 404."""
-
-        def attempt() -> bytes:
-            request = urllib.request.Request(
-                f"{self.base_url}{path}",
-                data=data,
-                headers=headers or {},
-                method=method,
-            )
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read()
-
         try:
-            return self.retry.call(attempt, idempotent=True)
-        except urllib.error.HTTPError as error:
-            if error.code == 404:
+            return self.request(method, path, data, headers)
+        except HttpStatusError as error:
+            if error.status == 404:
                 return _MISS
-            if error.code >= 500:
+            if error.status >= 500:
                 raise StoreUnavailable(
                     f"store endpoint {method} {path} failed with HTTP "
-                    f"{error.code} after retries"
+                    f"{error.status} after retries"
                 ) from None
             raise StoreError(
                 f"store endpoint {method} {path} rejected the request: "
-                f"HTTP {error.code}"
+                f"HTTP {error.status}"
             ) from None
-        except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as error:
-            reason = getattr(error, "reason", error)
+        except Unreachable as error:
             raise StoreUnavailable(
-                f"store unreachable at {self.base_url}: {reason}"
+                f"store unreachable at {self.base_url}: {error}"
             ) from None
 
     # -- objects -------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""One deterministic retry/backoff policy for every client<->daemon call.
+"""The one HTTP transport of the serve daemon's clients (stdlib only).
+
+:class:`HttpClient` is a small JSON/bytes client run under :class:`RetryPolicy`;
+the run service executor, the remote store, the fleet agent and
+``repro-search top`` build on it and keep only their own error mapping.  It
+imports nothing from ``repro``, so any package can import it without a cycle.
 
 Distribution multiplies the ways a single HTTP request can fail -- connection
 refused while a daemon restarts, a 503 while it drains, a socket timeout on a
@@ -26,12 +31,16 @@ retried -- the request itself is wrong and will be wrong again.
 
 from __future__ import annotations
 
+import json
 import time
 import urllib.error
+import urllib.request
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 DEFAULT_RETRY_STATUSES: Tuple[int, ...] = (500, 502, 503, 504)
+
+_JSON_HEADERS = {"Content-Type": "application/json"}
 
 
 @dataclass(frozen=True)
@@ -107,3 +116,76 @@ class RetryPolicy:
                 if delay > 0:
                     sleep(delay)
         raise AssertionError("unreachable: the loop returns or raises")
+
+
+class HttpStatusError(Exception):
+    """The server answered with an error status; ``body`` is its answer."""
+
+    def __init__(self, status: int, body: bytes):
+        super().__init__(f"HTTP {status}")
+        self.status = status
+        self.body = body
+
+
+class Unreachable(OSError):
+    """No answer at all: refused, reset, timed out or dropped (after retries)."""
+
+
+class HttpClient:
+    """Requests against one base URL under one :class:`RetryPolicy`."""
+
+    def __init__(
+        self,
+        base_url: str,
+        timeout: float = 10.0,
+        retry: Optional[RetryPolicy] = None,
+    ):
+        self.base_url = base_url.rstrip("/")
+        self.timeout = timeout
+        self.retry = retry or RetryPolicy()
+
+    def send(
+        self,
+        method: str,
+        path: str,
+        data: Optional[bytes] = None,
+        headers: Optional[Dict[str, str]] = None,
+        timeout: Optional[float] = None,
+    ) -> bytes:
+        """One attempt; raises urllib's own errors for the retry policy."""
+        request = urllib.request.Request(
+            f"{self.base_url}{path}", data=data, headers=headers or {}, method=method
+        )
+        with urllib.request.urlopen(
+            request, timeout=self.timeout if timeout is None else timeout
+        ) as response:
+            return response.read()
+
+    def request(
+        self,
+        method: str,
+        path: str,
+        data: Optional[bytes] = None,
+        headers: Optional[Dict[str, str]] = None,
+        idempotent: bool = True,
+        max_attempts: Optional[int] = None,
+        timeout: Optional[float] = None,
+    ) -> bytes:
+        """The response body under the retry policy; what still fails after
+        it raises :class:`HttpStatusError` or :class:`Unreachable`."""
+        try:
+            return self.retry.call(
+                lambda: self.send(method, path, data, headers, timeout),
+                idempotent=idempotent,
+                max_attempts=max_attempts,
+            )
+        except urllib.error.HTTPError as error:
+            raise HttpStatusError(error.code, error.read()) from None
+        except OSError as error:  # URLError, ConnectionError, TimeoutError
+            raise Unreachable(getattr(error, "reason", error)) from None
+
+    def json(self, method: str, path: str, payload: Any = None, **options: Any) -> Any:
+        """:meth:`request` with a JSON body (unless ``payload`` is None) and answer."""
+        data = None if payload is None else json.dumps(payload).encode("utf-8")
+        headers = None if data is None else _JSON_HEADERS
+        return json.loads(self.request(method, path, data, headers, **options))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import asdict, is_dataclass
 from typing import Any, Dict
 
@@ -51,6 +52,36 @@ def save_json(path: str, payload: Any) -> None:
     os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(_jsonify(payload), handle, indent=2, sort_keys=True)
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Durably replace ``path`` with ``text``; never torn, never clobbered by
+    a concurrent writer.
+
+    The temp file comes from ``mkstemp`` *in the destination directory* --
+    unique per writer (two writers of one path cannot truncate or rename
+    away each other's half-written temp file, unlike a fixed ``<path>.tmp``)
+    and on the same filesystem, so the final ``os.replace`` is atomic.  The
+    ``fsync`` before the rename keeps a power loss from leaving the new name
+    pointing at not-yet-flushed data; without it a crash could leave exactly
+    the torn file this function exists to prevent.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(
+        dir=directory, prefix=f".{os.path.basename(path)}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def load_json(path: str) -> Any:

@@ -468,6 +468,146 @@ class TestDaemon:
         with pytest.raises(ValueError, match="not serializable"):
             client.submit(_tiny_spec(), engine=EngineConfig())
 
+    def test_events_cursor_on_a_finished_run(self, run_service):
+        handle = RunClient.connect(run_service.url).submit(_tiny_spec())
+        handle.result(timeout=120)
+
+        def page(since):
+            with urllib.request.urlopen(
+                f"{run_service.url}/runs/{handle.run_id}/events?since={since}"
+            ) as response:
+                return json.load(response)
+
+        total = page(0)["next"]
+        tail = page(total - 2)
+        assert len(tail["events"]) == 2
+        assert tail["next"] == total and tail["done"] is True
+        # A negative cursor is refused rather than answered with a `next`
+        # that would send a follower back to the start of the stream.
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            page(-2)
+        assert excinfo.value.code == 400
+        assert json.load(excinfo.value)["error"]["type"] == "invalid-query"
+
+
+# -- the daemon's wire contract: every route and its near-misses --------------------
+_HEX = "ab" * 32  # a well-formed store key with no object behind it
+
+_ROUTES = [
+    # (method, path, body) -> (status, error.type); a dict body is sent as JSON.
+    ("GET", "/healthz", None, 200, None),
+    ("GET", "/metrics", None, 200, None),
+    ("POST", "/runs", {"strategy": "quantum-annealing"}, 400, "invalid-spec"),
+    ("GET", "/runs", None, 200, None),
+    ("GET", "/runs/x", None, 404, "unknown-run"),
+    ("GET", "/runs/x/report", None, 404, "unknown-run"),
+    ("GET", "/runs/x/events?since=0", None, 404, "unknown-run"),
+    ("GET", "/runs/x/events?since=two", None, 400, "invalid-query"),
+    ("GET", "/runs/x/events?since=-2", None, 400, "invalid-query"),
+    ("POST", "/runs/x/cancel", {}, 404, "unknown-run"),
+    ("POST", "/runs/x/resume", {}, 404, "unknown-run"),
+    ("GET", "/models", None, 200, None),
+    ("POST", "/models/promote", {"run_id": "x"}, 404, "unknown-run"),
+    ("POST", "/models/x/predict", {"inputs": [[0.0]]}, 404, "unknown-model"),
+    ("GET", "/agents", None, 200, None),
+    ("POST", "/agents/register", {"name": "route-probe"}, 201, None),
+    (
+        "POST",
+        "/agents/heartbeat",
+        {"agent_id": "ghost", "active_tasks": []},
+        404,
+        "unknown-agent",
+    ),
+    ("POST", "/agents/lease", {"agent_id": "ghost"}, 404, "unknown-agent"),
+    (
+        "POST",
+        "/agents/complete",
+        {"agent_id": "ghost", "task_id": "t", "result": ""},
+        200,
+        None,
+    ),
+    ("GET", f"/store/{_HEX}", None, 404, "unknown-object"),
+    ("PUT", f"/store/{_HEX}", b"not those bytes", 400, "invalid-store-request"),
+    ("HEAD", f"/store/{_HEX}", None, 404, None),
+    ("POST", "/store/has", {"keys": [_HEX]}, 200, None),
+    ("GET", f"/store/refs/{_HEX}", None, 404, "unknown-ref"),
+    ("PUT", f"/store/refs/{_HEX}", {"key": _HEX}, 200, None),
+    ("GET", "/store/stats", None, 200, None),
+    # near-misses
+    ("GET", "/runs/", None, 200, None),
+    ("GET", "//runs", None, 200, None),
+    ("GET", "/runs/gh%2Fost", None, 404, "unknown-run"),
+    ("GET", "/runs/x/report/extra", None, 404, "unknown-endpoint"),
+    ("GET", "/runs/x/cancel", None, 404, "unknown-endpoint"),
+    ("POST", "/runs/x", {}, 404, "unknown-endpoint"),
+    ("GET", "/models/x", None, 404, "unknown-endpoint"),
+    ("POST", "/agents/frob", {}, 404, "unknown-endpoint"),
+    ("HEAD", "/healthz", None, 404, None),
+    ("PUT", "/store/stats", b"x", 400, "invalid-store-key"),
+    ("GET", "/store/has", None, 400, "invalid-store-key"),
+    ("GET", "/store/refs", None, 400, "invalid-store-key"),
+    ("POST", f"/store/refs/{_HEX}", {"key": _HEX}, 404, "unknown-endpoint"),
+]
+
+
+@pytest.fixture(scope="class")
+def idle_service(tmp_path_factory):
+    from repro.service.daemon import RunService
+
+    root = tmp_path_factory.mktemp("routes")
+    service = RunService(
+        str(root / "runs"), port=0, zoo_root=str(root / "zoo")
+    ).start()
+    yield service
+    service.shutdown()
+
+
+class TestDaemonRoutes:
+    @pytest.mark.parametrize(
+        "method,path,body,status,kind",
+        _ROUTES,
+        ids=[f"{method} {path}" for method, path, *_rest in _ROUTES],
+    )
+    def test_route(self, idle_service, method, path, body, status, kind):
+        if isinstance(body, dict):
+            body = json.dumps(body).encode("utf-8")
+        connection = http.client.HTTPConnection(
+            idle_service.host, idle_service.port, timeout=10
+        )
+        try:
+            connection.request(method, path, body=body)
+            response = connection.getresponse()
+            raw = response.read()
+        finally:
+            connection.close()
+        assert response.status == status
+        if method == "HEAD":
+            assert raw == b""
+        if kind is not None:
+            assert json.loads(raw)["error"]["type"] == kind
+
+    def test_unrouted_body_does_not_desynchronise_keep_alive(self, idle_service):
+        connection = http.client.HTTPConnection(
+            idle_service.host, idle_service.port, timeout=10
+        )
+        try:
+            connection.request(
+                "POST",
+                "/agents/frob",
+                body=json.dumps({"agent_id": "ghost"}),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            assert response.status == 404
+            response.read()
+            # The unread body must not be parsed as the next request line.
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.load(response)["ok"] is True
+        finally:
+            connection.close()
+
 
 # -- satellite: the regularized-evolution strategy -----------------------------------
 class TestRegularizedEvolution:

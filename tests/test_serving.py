@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import socket
+import sys
 import threading
 import time
 import tracemalloc
@@ -28,6 +29,7 @@ from repro.nn.trainer import Trainer, TrainingConfig
 from repro.obs import metrics as obs_metrics
 from repro.service import RunClient
 from repro.service.errors import RunNotFound, RunNotReady
+from repro.service.remote import ServiceExecutor
 from repro.serving import MicroBatcher, ModelNotFound, ModelServer, QueueFull
 from repro.serving.registry import ZooRegistry, latency_class
 
@@ -215,6 +217,38 @@ class TestZooRegistry:
             trainer.predict(model_a, batch), trainer.predict(model_b, batch)
         )
         assert descriptor.cache_key() == _entry.manifest["descriptor_cache_key"]
+
+    def test_concurrent_latest_pointer_writes(self, tmp_path):
+        zoo = ZooRegistry(str(tmp_path / "zoo"))
+        os.makedirs(os.path.join(zoo.root, "tiny"))
+        versions = [f"v-{index}" for index in range(4)]  # more writers than cores
+        errors = []
+
+        def promote_many(version):
+            try:
+                for _ in range(100):
+                    zoo.set_latest("tiny", version)
+            except Exception as error:  # collected: a thread cannot fail the test
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=promote_many, args=(version,))
+            for version in versions
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert os.listdir(os.path.join(zoo.root, "tiny")) == ["latest"]
+        with open(os.path.join(zoo.root, "tiny", "latest"), encoding="utf-8") as handle:
+            assert handle.read().strip() in versions
 
 
 # -- the micro-batcher ---------------------------------------------------------------
@@ -624,6 +658,8 @@ class TestDaemonServing:
             server.close()
         assert body["count"] == 3
         assert body["predictions"] == [int(value) for value in expected]
+        served = ServiceExecutor(service.url).predict("tiny", inputs)
+        assert served == [int(value) for value in expected]
 
     def test_unknown_model_is_structured_404(self, serving_daemon):
         service, _run_id = serving_daemon

@@ -21,7 +21,6 @@ from repro.engine import EngineConfig, EvaluationCache, SearchEngine
 from repro.engine.cache import SharedCacheTier
 from repro.engine.events import CACHE_ENTRY_CORRUPT, STORE_DEGRADED
 from repro.engine.serde import history_to_dict
-from repro.fleet.retry import RetryPolicy
 from repro.hardware.constraints import DesignSpec, HardwareSpec, SoftwareSpec
 from repro.nn.trainer import TrainingConfig
 from repro.store import (
@@ -36,6 +35,7 @@ from repro.store import (
     object_key,
 )
 from repro.store.core import StoreCorruptWrite
+from repro.utils.http import RetryPolicy
 
 
 def _closed_port_url() -> str:
