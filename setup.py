@@ -43,7 +43,7 @@ setup(
     extras_require={"test": ["pytest", "pytest-benchmark"]},
     entry_points={
         "console_scripts": [
-            "repro-search=repro.engine.cli:main",
+            "repro-search=repro.api.cli:main",
             "repro-lint=repro.analysis.cli:main",
         ],
     },

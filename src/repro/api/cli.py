@@ -1,23 +1,29 @@
-"""Spec-driven command line: ``repro-search run spec.json``.
+"""``repro-search``: run a search from the command line.
 
 Subcommands:
 
 * ``run [spec.json] [overrides...]``  -- execute a run spec; every leaf of
   the spec schema is exposed as a generated override flag
   (``--search-episodes 20``, ``--engine-backend thread``, ``--strategy
-  random``, boolean fields as ``--engine-use-cache/--no-engine-use-cache``),
+  random``, boolean fields as ``--engine-use-cache/--no-engine-use-cache``);
+  ``--resume`` continues from the checkpoint in ``engine.run_dir``,
 * ``validate spec.json``              -- parse, validate and print the
   canonical spec plus its cache key without running anything,
 * ``strategies``                      -- list the registered strategies,
-* ``serve`` / ``submit`` / ``status`` / ``tail`` / ``cancel`` / ``list``
-  -- the run-service lifecycle (see :mod:`repro.service.cli`): a daemon
-  accepting RunSpec JSON, non-blocking submissions addressed by run id, and
-  typed event-stream tailing that also works offline on any run directory.
+* ``serve`` / ``agent`` / ``submit`` / ``status`` / ``tail`` / ``cancel`` /
+  ``list`` -- the run-service lifecycle (see :mod:`repro.service.cli`): a
+  daemon accepting RunSpec JSON, fleet agents that run its episodes,
+  non-blocking submissions addressed by run id, and typed event-stream
+  tailing that also works offline on any run directory,
+* ``promote``                         -- promote the best child of a
+  finished run into the model zoo (:mod:`repro.serving`),
+* ``trace`` / ``top``                 -- export a run's spans as Chrome
+  trace_event JSON, and a live dashboard over a daemon's ``/metrics``
+  (:mod:`repro.obs`).
 
 The flags are generated from :func:`repro.api.spec.spec_schema`, so a new
-spec field automatically becomes a CLI override.  The legacy flat-flag
-interface (``repro-search --episodes 10 ...``) still works and is handled by
-:mod:`repro.engine.cli`.
+spec field automatically becomes a CLI override.  ``python -m
+repro.api.cli`` is the module form of the ``repro-search`` entry point.
 """
 
 from __future__ import annotations
@@ -155,7 +161,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(
         f"spec: strategy={spec.strategy}, {spec.search.episodes} episodes, "
         f"backend={engine.backend} (workers={engine.num_workers}), "
-        f"cache={'on' if engine.use_cache or engine.cache_dir else 'off'}"
+        f"cache={'on' if engine.caches else 'off'}"
         + (f", run_dir={engine.run_dir}" if engine.run_dir else "")
     )
     report = run_spec(spec, resume=args.resume)

@@ -152,8 +152,8 @@ def _resolve_engine_config(
     A spec with an engine section -- even an all-default one -- is honoured
     verbatim; only a spec whose engine is unset (None) falls through to the
     process-wide default.  Passing both an explicit engine *and* a spec
-    engine section is a conflict (the same silent-override trap the legacy
-    ``run_engine_search`` had), so it raises instead of guessing.
+    engine section is a conflict, so it raises instead of guessing which
+    one wins.
     """
     if explicit is not None and spec.engine is not None:
         raise ValueError(

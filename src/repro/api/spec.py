@@ -17,10 +17,9 @@ Sections:
   plus the split seed (mirrors :func:`repro.core.api.prepare_dataset`),
 * ``design``    -- :class:`DesignSpecConfig`: device + timing/accuracy
   constraints, resolved to a :class:`~repro.hardware.constraints.DesignSpec`,
-* ``search``    -- :class:`SearchParams`: the strategy hyper-parameters
-  (same knobs and defaults as the legacy ``run_fahana_search``), plus the
-  engine-level schedule knobs (reward-plateau early stopping, adaptive wave
-  sizing),
+* ``search``    -- :class:`SearchParams`: the strategy hyper-parameters,
+  plus the engine-level schedule knobs (reward-plateau early stopping,
+  adaptive wave sizing),
 * ``evaluation`` -- :class:`~repro.core.pipeline.PipelineSettings`, reused
   directly: optional parameter/storage gates and the multi-fidelity ladder
   (proxy stages with successive-halving promotion).  Unset (None) means the
@@ -136,13 +135,13 @@ class DesignSpecConfig:
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Strategy hyper-parameters (knobs and defaults of the legacy API).
+    """Strategy hyper-parameters.
 
     ``child_batch_size`` is the child-training batch size; 32 matches the
-    :class:`~repro.nn.trainer.TrainingConfig` default the legacy entry points
-    used.  Strategies are free to ignore knobs that do not apply to them
-    (MONAS ignores ``gamma``/``pretrain_epochs``/``max_searchable``, random
-    search ignores ``policy_batch`` for learning but keeps it as wave size).
+    :class:`~repro.nn.trainer.TrainingConfig` default.  Strategies are free
+    to ignore knobs that do not apply to them (MONAS ignores
+    ``gamma``/``pretrain_epochs``/``max_searchable``, random search ignores
+    ``policy_batch`` for learning but keeps it as wave size).
     """
 
     episodes: int = 20

@@ -1,9 +1,8 @@
 """Built-in search strategies: ``fahana``, ``monas``, ``random`` and
 ``regularized_evolution``.
 
-``fahana`` and ``monas`` wrap the paper's two searches with exactly the
-configuration the legacy ``run_fahana_search`` / ``run_monas_search`` entry
-points built, so a spec-driven run reproduces a legacy call bit for bit.
+``fahana`` and ``monas`` wrap the paper's two searches, FaHaNa and the MONAS
+baseline of Table 2, configured from the spec's search section.
 ``random`` is a uniform random-search baseline that exists to prove the
 registry's point: it plugs a new strategy into the same facade, engine,
 cache and checkpointing without touching ``repro.core`` at all;
@@ -48,7 +47,7 @@ def _child_precision(spec: RunSpec):
 
 
 def _fahana_config(spec: RunSpec) -> FaHaNaConfig:
-    """The spec-driven equivalent of the legacy ``_fahana_config`` defaults."""
+    """The :class:`FaHaNaConfig` a spec's search section describes."""
     params = spec.search
     precision, inference_batch = _child_precision(spec)
     kwargs = {}
@@ -110,9 +109,8 @@ def build_monas(
 ) -> MonasSearch:
     params = spec.search
     precision, inference_batch = _child_precision(spec)
-    # Mirrors the legacy run_monas_search construction: gamma, pretraining and
-    # the searchable cap do not apply (MONAS searches every position and
-    # trains every child from scratch).
+    # gamma, pretraining and the searchable cap do not apply: MONAS searches
+    # every position and trains every child from scratch.
     kwargs = {}
     if spec.evaluation is not None:
         kwargs["pipeline"] = spec.evaluation

@@ -33,7 +33,6 @@ from repro.core.pipeline import (
 from repro.core.results import EpisodeRecord, SearchHistory
 from repro.core.fahana import FaHaNaSearch, FaHaNaConfig
 from repro.core.monas import MonasSearch, MonasConfig
-from repro.core.api import run_engine_search, run_fahana_search, run_monas_search
 
 __all__ = [
     "SearchSpace",
@@ -63,7 +62,4 @@ __all__ = [
     "FaHaNaConfig",
     "MonasSearch",
     "MonasConfig",
-    "run_engine_search",
-    "run_fahana_search",
-    "run_monas_search",
 ]

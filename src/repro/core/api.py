@@ -1,38 +1,20 @@
-"""Legacy convenience entry points (deprecated shims over the run API).
+"""One-line helpers for the paper's default design spec and dataset splits.
 
-The recommended interface is the declarative one in :mod:`repro.api`::
-
-    import repro
-
-    spec = repro.RunSpec(search=repro.SearchParams(episodes=20))
-    report = repro.run(spec)
-
-The three ``run_*_search`` functions below predate it; they now construct a
-:class:`~repro.api.spec.RunSpec` and delegate to :func:`repro.api.run.run`,
-emitting a :class:`DeprecationWarning`.  They keep their exact historical
-behaviour (same knobs, same defaults, same results) so existing callers
-migrate on their own schedule.  ``default_design_spec`` and
-``prepare_dataset`` are not deprecated -- they remain the one-line helpers
-for building the paper's default design spec and dataset splits.
+A search itself is one :class:`~repro.api.spec.RunSpec` executed by
+``repro.run(spec)`` or ``repro-search run``.  The two helpers here build the
+same design spec and dataset splits that a default spec's ``design`` and
+``dataset`` sections describe, for callers that hand pre-built ones to
+``repro.run``.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional
 
-from repro.core.fahana import FaHaNaResult
-from repro.data.dataset import DatasetSplits, GroupedDataset, stratified_split
+from repro.data.dataset import DatasetSplits, stratified_split
 from repro.data.dermatology import DermatologyConfig, DermatologyGenerator
 from repro.hardware.constraints import DesignSpec, HardwareSpec, SoftwareSpec
 from repro.hardware.device import RASPBERRY_PI_4, DeviceProfile
-
-if TYPE_CHECKING:
-    from repro.engine.engine import EngineConfig, SearchEngine
-
-# Sentinel distinguishing "not passed" from an explicit default value, so a
-# conflicting EngineConfig + shortcut kwarg combination can be rejected.
-_UNSET = object()
 
 
 def default_design_spec(
@@ -53,170 +35,3 @@ def prepare_dataset(
     """Generate the synthetic dermatology dataset and split it 60/20/20."""
     dataset = DermatologyGenerator(config).generate()
     return stratified_split(dataset, rng=seed)
-
-
-def _warn_deprecated(name: str) -> None:
-    warnings.warn(
-        f"{name}() is deprecated; build a repro.api.RunSpec and call "
-        "repro.run(spec) instead (see the README's 'Declarative runs' section)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_fahana_search(
-    train_dataset: GroupedDataset,
-    validation_dataset: GroupedDataset,
-    design_spec: Optional[DesignSpec] = None,
-    episodes: int = 20,
-    backbone: str = "MobileNetV2",
-    gamma: float = 0.5,
-    width_multiplier: float = 0.35,
-    child_epochs: int = 5,
-    pretrain_epochs: int = 5,
-    max_searchable: Optional[int] = None,
-    alpha: float = 1.0,
-    beta: float = 1.0,
-    seed: int = 0,
-    engine: Optional["EngineConfig"] = None,
-) -> FaHaNaResult:
-    """Deprecated: run a FaHaNa search with sensible defaults.
-
-    Equivalent to ``repro.run(RunSpec(strategy="fahana", search=...))`` with
-    the datasets injected; returns the bare :class:`FaHaNaResult`.
-    """
-    _warn_deprecated("run_fahana_search")
-    from repro.api.run import run as api_run
-    from repro.api.spec import RunSpec, SearchParams
-
-    spec = RunSpec(
-        strategy="fahana",
-        search=SearchParams(
-            episodes=episodes,
-            backbone=backbone,
-            gamma=gamma,
-            width_multiplier=width_multiplier,
-            child_epochs=child_epochs,
-            pretrain_epochs=pretrain_epochs,
-            max_searchable=max_searchable,
-            alpha=alpha,
-            beta=beta,
-            seed=seed,
-        ),
-    )
-    report = api_run(
-        spec,
-        engine=engine,
-        train_dataset=train_dataset,
-        validation_dataset=validation_dataset,
-        design_spec=design_spec or default_design_spec(),
-    )
-    return report.result
-
-
-def run_engine_search(
-    train_dataset: GroupedDataset,
-    validation_dataset: GroupedDataset,
-    design_spec: Optional[DesignSpec] = None,
-    episodes: int = 20,
-    backend: str = _UNSET,
-    num_workers: int = _UNSET,
-    batch_episodes: Optional[int] = _UNSET,
-    use_cache: bool = _UNSET,
-    run_dir: Optional[str] = _UNSET,
-    resume: bool = False,
-    checkpoint_every: int = _UNSET,
-    engine: Optional["EngineConfig"] = None,
-    **search_kwargs,
-) -> Tuple[FaHaNaResult, "SearchEngine"]:
-    """Deprecated: run a FaHaNa search on an explicitly configured engine.
-
-    Returns ``(result, engine)`` so callers can inspect execution statistics.
-    Pass *either* a full :class:`EngineConfig` as ``engine`` *or* the
-    individual ``backend``/``num_workers``/... shortcuts -- combining the two
-    raises a :class:`ValueError` (shortcut kwargs used to be silently
-    ignored in that case).  Extra keyword arguments map onto
-    :class:`~repro.api.spec.SearchParams` -- the same knobs and defaults as
-    :func:`run_fahana_search`.  ``resume=True`` continues from the
-    checkpoint in the run directory.
-    """
-    _warn_deprecated("run_engine_search")
-    from repro.api.run import run as api_run
-    from repro.api.spec import RunSpec, SearchParams
-    from repro.engine.engine import EngineConfig
-
-    shortcuts = {
-        "backend": backend,
-        "num_workers": num_workers,
-        "batch_episodes": batch_episodes,
-        "use_cache": use_cache,
-        "run_dir": run_dir,
-        "checkpoint_every": checkpoint_every,
-    }
-    explicit = sorted(name for name, value in shortcuts.items() if value is not _UNSET)
-    if engine is not None and explicit:
-        raise ValueError(
-            "conflicting engine configuration: a full EngineConfig was passed "
-            f"as 'engine' together with the shortcut kwarg(s) {explicit}; "
-            "set those fields on the EngineConfig (or drop it) instead"
-        )
-    engine_config = engine or EngineConfig(
-        backend=backend if backend is not _UNSET else "serial",
-        num_workers=num_workers if num_workers is not _UNSET else 2,
-        batch_episodes=batch_episodes if batch_episodes is not _UNSET else None,
-        use_cache=use_cache if use_cache is not _UNSET else True,
-        run_dir=run_dir if run_dir is not _UNSET else None,
-        checkpoint_every=checkpoint_every if checkpoint_every is not _UNSET else 0,
-    )
-    search_kwargs.setdefault("policy_batch", engine_config.batch_episodes or 1)
-    spec = RunSpec(
-        strategy="fahana",
-        search=SearchParams(episodes=episodes, **search_kwargs),
-    )
-    report = api_run(
-        spec,
-        engine=engine_config,
-        resume=resume,
-        train_dataset=train_dataset,
-        validation_dataset=validation_dataset,
-        design_spec=design_spec or default_design_spec(),
-    )
-    return report.result, report.engine
-
-
-def run_monas_search(
-    train_dataset: GroupedDataset,
-    validation_dataset: GroupedDataset,
-    design_spec: Optional[DesignSpec] = None,
-    episodes: int = 20,
-    backbone: str = "MobileNetV2",
-    width_multiplier: float = 0.35,
-    child_epochs: int = 5,
-    alpha: float = 1.0,
-    beta: float = 1.0,
-    seed: int = 0,
-) -> FaHaNaResult:
-    """Deprecated: run the MONAS baseline (no freezing, no latency bypass)."""
-    _warn_deprecated("run_monas_search")
-    from repro.api.run import run as api_run
-    from repro.api.spec import RunSpec, SearchParams
-
-    spec = RunSpec(
-        strategy="monas",
-        search=SearchParams(
-            episodes=episodes,
-            backbone=backbone,
-            width_multiplier=width_multiplier,
-            child_epochs=child_epochs,
-            alpha=alpha,
-            beta=beta,
-            seed=seed,
-        ),
-    )
-    report = api_run(
-        spec,
-        train_dataset=train_dataset,
-        validation_dataset=validation_dataset,
-        design_spec=design_spec or default_design_spec(),
-    )
-    return report.result

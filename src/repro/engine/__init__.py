@@ -5,8 +5,7 @@
 * :mod:`repro.engine.cache` -- content-addressed evaluation memoization,
 * :mod:`repro.engine.workers` -- serial / thread / process worker pools,
 * :mod:`repro.engine.checkpoint` -- checkpoint/resume of a running search,
-* :mod:`repro.engine.events` -- event bus plus JSONL telemetry,
-* :mod:`repro.engine.cli` -- the ``repro-search`` command-line entry point.
+* :mod:`repro.engine.events` -- event bus plus JSONL telemetry.
 """
 
 from repro.engine.cache import EvaluationCache

@@ -258,10 +258,11 @@ class EvaluationCache:
     def _load_disk_entry(self, key: str) -> Optional[EvaluationResult]:
         """One on-disk entry, or None after dropping an unreadable file.
 
-        Torn writes happen (a run killed mid-``save_json``, a full disk); a
-        cache must treat them as misses, not crashes.  The broken file is
-        deleted so the recomputed result can persist cleanly, and the drop
-        is announced as a typed ``cache-entry-corrupt`` event.
+        Unreadable files happen (a file torn by a writer that was not
+        atomic, a damaged disk); a cache must treat them as misses, not
+        crashes.  The broken file is deleted so the recomputed result can
+        persist cleanly, and the drop is announced as a typed
+        ``cache-entry-corrupt`` event.
         """
         path = self._entry_path(key)
         try:

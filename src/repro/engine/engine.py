@@ -163,6 +163,14 @@ class EngineConfig:
         if self.blas_threads_per_worker is not None and self.blas_threads_per_worker <= 0:
             raise ValueError("blas_threads_per_worker must be positive when given")
 
+    @property
+    def caches(self) -> bool:
+        """Whether a run memoizes evaluations: a live cache, ``use_cache``, a
+        cache directory or a store each give it an :class:`EvaluationCache`."""
+        return self.cache is not None or self.use_cache or any(
+            path is not None for path in (self.cache_dir, self.store_root, self.store_url)
+        )
+
 
 # -- module-level default (installed by harnesses, e.g. the benchmark suite) -------
 _default_engine_config: Optional[EngineConfig] = None
@@ -342,7 +350,7 @@ class SearchEngine:
             if tier is not None and config.cache.tier is None:
                 config.cache.tier = tier
             return config.cache
-        if config.use_cache or config.cache_dir is not None or tier is not None:
+        if config.caches:
             return EvaluationCache(
                 capacity=config.cache_capacity,
                 directory=config.cache_dir,

@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.api.spec import RunSpec
 from repro.service.errors import RunNotFound
-from repro.utils.serialization import atomic_write_text
+from repro.utils.serialization import save_json
 
 RUN_SPEC_JSON = "run_spec.json"
 STATUS_JSON = "status.json"
@@ -42,12 +42,6 @@ FINISHED = "finished"
 FAILED = "failed"
 CANCELLED = "cancelled"
 TERMINAL_STATES = (FINISHED, FAILED, CANCELLED)
-
-
-def atomic_write_json(path: str, payload: Any) -> None:
-    """Durably replace ``path`` with ``payload`` as JSON (see
-    :func:`~repro.utils.serialization.atomic_write_text`)."""
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def new_run_id() -> str:
@@ -120,14 +114,14 @@ class RunRegistry:
         # The archived spec is resume-critical state: write it atomically so
         # a daemon killed mid-create never leaves a torn run_spec.json a
         # recovering successor would refuse to re-enqueue.
-        atomic_write_json(self.spec_path(run_id), spec.to_dict())
+        save_json(self.spec_path(run_id), spec.to_dict())
         status = initial_status(run_id, spec, run_dir=run_dir)
         self.write_status(status)
         return status
 
     def write_status(self, status: Dict[str, Any]) -> None:
         """Atomically persist a status dict (readers never see a torn write)."""
-        atomic_write_json(self.status_path(status["run_id"]), status)
+        save_json(self.status_path(status["run_id"]), status)
 
     def load_status(self, run_id: str) -> Dict[str, Any]:
         path = self.status_path(run_id)
@@ -175,7 +169,7 @@ class RunRegistry:
     # -- report -------------------------------------------------------------------
     def save_report(self, run_id: str, report: Dict[str, Any]) -> str:
         path = self.report_path(run_id)
-        atomic_write_json(path, report)
+        save_json(path, report)
         return path
 
     def load_report(self, run_id: str) -> Optional[Dict[str, Any]]:

@@ -47,11 +47,15 @@ def _jsonify(value: Any) -> Any:
 
 
 def save_json(path: str, payload: Any) -> None:
-    """Write ``payload`` (dataclasses and numpy types allowed) as JSON."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_jsonify(payload), handle, indent=2, sort_keys=True)
+    """Write ``payload`` (dataclasses and numpy types allowed) as JSON.
+
+    The payload is serialised before the file is touched and then written
+    through :func:`atomic_write_text`, so a payload that cannot be encoded
+    leaves the previous file intact.
+    """
+    text = json.dumps(_jsonify(payload), indent=2, sort_keys=True)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    atomic_write_text(path, text)
 
 
 def atomic_write_text(path: str, text: str) -> None:

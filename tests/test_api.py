@@ -1,11 +1,13 @@
 """Tests for the declarative run API: RunSpec serialization, the strategy
-registry, the ``repro.run`` facade, legacy-shim parity and the CLI."""
+registry, the ``repro.run`` facade and the ``repro-search`` command line."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import importlib
 import json
-import warnings
+import os
 
 import pytest
 
@@ -21,12 +23,16 @@ from repro.api import (
     spec_schema,
     unregister_strategy,
 )
-from repro.core.api import prepare_dataset, run_engine_search, run_fahana_search
+from repro.analysis import build_import_graph, load_modules
+from repro.api.cli import main as cli_main
+from repro.core.api import default_design_spec, prepare_dataset
 from repro.core.fahana import FaHaNaSearch
 from repro.data.dermatology import DermatologyConfig
 from repro.engine import EngineConfig, EvaluationCache, create_pool
-from repro.engine.cli import main as cli_main
 from repro.engine.workers import process_shared
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SMOKE_SPEC = os.path.join(ROOT, "examples", "specs", "smoke.json")
 
 
 def _tiny_spec(strategy: str = "fahana", episodes: int = 2, **engine_kwargs) -> RunSpec:
@@ -167,11 +173,13 @@ class TestRegistry:
 
 
 class TestRunFacade:
-    def test_spec_file_run_matches_legacy_run_fahana_search(self, tmp_path):
-        """The acceptance criterion: repro.run(from_file(...)) reproduces the
-        legacy entry point exactly (same history, modulo wall-clock)."""
-        # The legacy entry point trains children at the TrainingConfig
-        # default batch size (32), so the spec pins the same value.
+    def test_spec_file_run_matches_run_on_prepared_splits(self, tmp_path):
+        """The acceptance criterion: repro.run(from_file(...)) reproduces a
+        run on splits and a design spec built by the ``repro.core.api``
+        helpers exactly (same history, modulo wall-clock)."""
+        # The reference spec has only a search section, so its children
+        # train at SearchParams' default batch size (32); the file's spec
+        # pins the same value.
         spec = _tiny_spec(episodes=3)
         spec = dataclasses.replace(
             spec, search=dataclasses.replace(spec.search, child_batch_size=32)
@@ -188,21 +196,24 @@ class TestRunFacade:
             ),
             seed=0,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_fahana_search(
-                splits.train,
-                splits.validation,
-                spec.design.build(),
-                episodes=3,
-                child_epochs=1,
-                pretrain_epochs=0,
-                max_searchable=2,
-                width_multiplier=0.25,
-                seed=0,
-            )
+        reference = repro.run(
+            RunSpec(
+                strategy="fahana",
+                search=SearchParams(
+                    episodes=3,
+                    child_epochs=1,
+                    pretrain_epochs=0,
+                    max_searchable=2,
+                    width_multiplier=0.25,
+                    seed=0,
+                ),
+            ),
+            train_dataset=splits.train,
+            validation_dataset=splits.validation,
+            design_spec=default_design_spec(timing_constraint_ms=1e6),
+        )
 
-        a, b = report.history, legacy.history
+        a, b = report.history, reference.history
         assert a.reward_trajectory() == b.reward_trajectory()
         assert [r.decisions for r in a.records] == [r.decisions for r in b.records]
         assert [r.descriptor for r in a.records] == [r.descriptor for r in b.records]
@@ -320,50 +331,6 @@ class TestRunFacade:
             repro.run(42)
 
 
-class TestLegacyShims:
-    def test_deprecation_warnings_emitted(self, tiny_splits):
-        with pytest.warns(DeprecationWarning, match="run_fahana_search"):
-            run_fahana_search(
-                tiny_splits.train,
-                tiny_splits.validation,
-                episodes=1,
-                child_epochs=1,
-                pretrain_epochs=0,
-                max_searchable=2,
-                width_multiplier=0.25,
-            )
-
-    def test_engine_conflict_in_shim(self, tiny_splits):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="backend.*num_workers|num_workers"):
-                run_engine_search(
-                    tiny_splits.train,
-                    tiny_splits.validation,
-                    backend="thread",
-                    num_workers=4,
-                    engine=EngineConfig(),
-                )
-
-    def test_shim_still_returns_result_and_engine(self, tiny_splits, tmp_path):
-        run_dir = str(tmp_path / "run")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result, engine = run_engine_search(
-                tiny_splits.train,
-                tiny_splits.validation,
-                episodes=1,
-                engine=EngineConfig(run_dir=run_dir, use_cache=True),
-                pretrain_epochs=0,
-                child_epochs=1,
-                max_searchable=2,
-                width_multiplier=0.25,
-                seed=0,
-            )
-        assert len(result.history) == 1
-        assert engine.config.run_dir == run_dir
-
-
 def _add_to_shared(increment: int) -> int:
     return process_shared() + increment
 
@@ -440,6 +407,52 @@ class TestSpecCli:
         out = capsys.readouterr().out
         for name in ("fahana", "monas", "random"):
             assert name in out
+
+    def test_store_alone_turns_the_cache_on(self, tmp_path, capsys):
+        """A store gives the engine a cache, so the banner says so."""
+        args = ["run", SMOKE_SPEC, "--search-episodes", "1", "--no-engine-use-cache"]
+        assert cli_main(args + ["--store-root", str(tmp_path / "store")]) == 0
+        assert "cache=on" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [[], ["--episodes", "10"]])
+    def test_a_subcommand_is_required(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli_main(argv)
+        assert exited.value.code == 2
+        assert "{run,validate,strategies," in capsys.readouterr().err
+
+
+def _console_scripts():
+    """``setup.py``'s ``console_scripts`` entries, read without running it."""
+    with open(os.path.join(ROOT, "setup.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "entry_points":
+            return ast.literal_eval(node.value)["console_scripts"]
+    raise AssertionError("setup.py declares no entry_points")
+
+
+class TestFrontDoor:
+    def test_console_scripts_resolve_to_callables(self):
+        scripts = _console_scripts()
+        assert scripts
+        for script in scripts:
+            module, attr = script.split("=")[1].strip().split(":")
+            assert callable(getattr(importlib.import_module(module), attr)), script
+
+    def test_core_and_engine_import_nothing_above_them(self):
+        def package(module):
+            return ".".join(module.split(".")[:2])
+
+        graph = build_import_graph(load_modules([os.path.join(ROOT, "src", "repro")]))
+        upward = sorted(
+            f"{source} -> {target}"
+            for source, targets in graph.edges.items()
+            if package(source) in ("repro.core", "repro.engine")
+            for target in targets
+            if package(target) in ("repro.api", "repro.service")
+        )
+        assert upward == []
 
 
 class TestRootExports:

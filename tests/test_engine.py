@@ -11,6 +11,8 @@ import time
 import numpy as np
 import pytest
 
+import repro
+from repro.api import RunSpec, SearchParams
 from repro.blocks.spec import BlockSpec, ClassifierSpec, StemSpec
 from repro.core import FaHaNaConfig, FaHaNaSearch, ProducerConfig
 from repro.core.evaluator import EvaluationResult
@@ -30,7 +32,6 @@ from repro.engine import (
     set_default_engine_config,
 )
 from repro.engine.checkpoint import checkpoint_paths
-from repro.engine.cli import main as cli_main
 from repro.engine.serde import (
     descriptor_from_dict,
     descriptor_to_dict,
@@ -924,47 +925,25 @@ class TestEngineConfigResolution:
 
 class TestRunEngineSearch:
     def test_explicit_engine_config_is_honored(self, tiny_splits, tmp_path):
-        from repro.core import run_engine_search
-
         run_dir = str(tmp_path / "run")
-        result, engine = run_engine_search(
-            tiny_splits.train,
-            tiny_splits.validation,
-            episodes=1,
-            engine=EngineConfig(run_dir=run_dir, use_cache=True),
-            backbone="MobileNetV2",
-            pretrain_epochs=0,
-            child_epochs=1,
-            max_searchable=2,
-            width_multiplier=0.25,
-            seed=0,
+        spec = RunSpec(
+            search=SearchParams(
+                episodes=1,
+                backbone="MobileNetV2",
+                pretrain_epochs=0,
+                child_epochs=1,
+                max_searchable=2,
+                width_multiplier=0.25,
+                seed=0,
+                policy_batch=1,
+            )
         )
-        assert len(result.history) == 1
-        assert engine.config.run_dir == run_dir
+        report = repro.run(
+            spec,
+            engine=EngineConfig(run_dir=run_dir, use_cache=True),
+            train_dataset=tiny_splits.train,
+            validation_dataset=tiny_splits.validation,
+        )
+        assert len(report.result.history) == 1
+        assert report.engine.config.run_dir == run_dir
         assert has_checkpoint(run_dir)
-
-
-class TestCli:
-    def test_cli_smoke_run_and_resume(self, tmp_path, capsys):
-        run_dir = str(tmp_path / "run")
-        args = [
-            "--episodes", "2",
-            "--image-size", "10",
-            "--samples-per-class", "8",
-            "--child-epochs", "1",
-            "--pretrain-epochs", "0",
-            "--max-searchable", "2",
-            "--policy-batch", "1",
-            "--run-dir", run_dir,
-        ]
-        assert cli_main(args) == 0
-        out = capsys.readouterr().out
-        assert "search summary" in out
-        assert has_checkpoint(run_dir)
-        # Resume continues (and immediately finishes) the completed run.
-        assert cli_main(args + ["--resume"]) == 0
-        out = capsys.readouterr().out
-        assert "resumed from episode 2" in out
-
-    def test_cli_resume_without_checkpoint_fails(self, tmp_path, capsys):
-        assert cli_main(["--resume", "--run-dir", str(tmp_path / "nope")]) == 2

@@ -6,7 +6,6 @@ bit-for-bit identical to an undisturbed local run."""
 from __future__ import annotations
 
 import dataclasses
-import glob
 import json
 import operator
 import os
@@ -17,11 +16,10 @@ import urllib.request
 
 import pytest
 
+from repro.api.cli import main as cli_main
 from repro.api.run import execute
 from repro.engine import EngineConfig
 from repro.engine.checkpoint import has_checkpoint
-from repro.engine.cli import SUBCOMMANDS
-from repro.engine.cli import main as cli_main
 from repro.engine.events import (
     FLEET_AGENT_DEAD,
     FLEET_DEGRADED,
@@ -46,11 +44,13 @@ from repro.fleet import (
     installed_supervisor,
 )
 from repro.fleet.pool import decode_result, encode_task, run_task
+from repro.service.cli import SERVICE_COMMANDS
 from repro.service.daemon import RunService
 from repro.service.errors import ServiceDraining, ServiceError
 from repro.service.local import LocalExecutor
-from repro.service.registry import RunRegistry, atomic_write_json
+from repro.service.registry import RunRegistry
 from repro.service.remote import ServiceExecutor
+from repro.utils.serialization import save_json
 
 from test_service import _comparable, _tiny_spec
 
@@ -651,21 +651,21 @@ class TestDrain:
 class TestAtomicWrites:
     def test_atomic_write_json_replaces_whole_files(self, tmp_path):
         path = str(tmp_path / "status.json")
-        atomic_write_json(path, {"state": "queued"})
-        atomic_write_json(path, {"state": "running"})
+        save_json(path, {"state": "queued"})
+        save_json(path, {"state": "running"})
         with open(path, encoding="utf-8") as handle:
             assert json.load(handle) == {"state": "running"}
-        assert glob.glob(str(tmp_path / "*.tmp")) == []
+        assert os.listdir(tmp_path) == ["status.json"]
 
     def test_atomic_write_json_cleans_up_on_failure(self, tmp_path):
         path = str(tmp_path / "status.json")
-        atomic_write_json(path, {"state": "queued"})
+        save_json(path, {"state": "queued"})
         with pytest.raises(TypeError):
-            atomic_write_json(path, {"bad": {1, 2}})  # sets are not JSON
+            save_json(path, {"bad": {1, 2}})  # sets are not JSON
         # The destination still holds the previous intact payload.
         with open(path, encoding="utf-8") as handle:
             assert json.load(handle) == {"state": "queued"}
-        assert glob.glob(str(tmp_path / "*.tmp")) == []
+        assert os.listdir(tmp_path) == ["status.json"]
 
     def test_registry_artifacts_have_no_torn_leftovers(self, tmp_path):
         registry = RunRegistry(str(tmp_path / "runs"))
@@ -674,13 +674,13 @@ class TestAtomicWrites:
         registry.write_status(registry.load_status(run_id))
         run_dir = registry.run_dir(run_id)
         assert json.load(open(os.path.join(run_dir, "run_spec.json")))
-        assert glob.glob(os.path.join(run_dir, "*.tmp")) == []
+        assert sorted(os.listdir(run_dir)) == ["run_spec.json", "status.json"]
 
 
 # -- the CLI surface ------------------------------------------------------------------
 class TestAgentCLI:
     def test_agent_is_a_subcommand(self):
-        assert "agent" in SUBCOMMANDS
+        assert "agent" in SERVICE_COMMANDS
 
     def test_agent_exits_nonzero_when_no_daemon(self, capsys):
         code = cli_main(

@@ -21,11 +21,11 @@ from repro.core.pipeline import (
 from repro.core.policy import PolicyGradientConfig
 from repro.core.reward import INVALID_REWARD, RewardConfig, compute_reward
 from repro.engine import EngineConfig, EvaluationCache, SearchEngine
-from repro.engine.cli import main as cli_main
 from repro.engine.events import EARLY_STOPPED, WAVE_PROMOTED, WAVE_RESIZED
 from repro.fairness.report import evaluate_fairness
 from repro.hardware.constraints import DesignSpec, HardwareSpec, SoftwareSpec
 from repro.nn.trainer import TrainingConfig
+from repro.api.cli import main as cli_main
 from repro.api.spec import RunSpec
 
 

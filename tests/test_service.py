@@ -15,9 +15,9 @@ import pytest
 
 import repro
 from repro.api import DatasetSpec, DesignSpecConfig, RunSpec, SearchParams
+from repro.api.cli import main as cli_main
 from repro.api.run import execute
 from repro.engine import EngineConfig
-from repro.engine.cli import main as cli_main
 from repro.engine.events import (
     CONSUMER_ERROR,
     EPISODE_FINISHED,

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.api import DatasetSpec, DesignSpecConfig, RunSpec, SearchParams
-from repro.engine.cli import main as cli_main
+from repro.api.cli import main as cli_main
 from repro.nn.layers.conv import Conv2d, DepthwiseConv2d
 from repro.nn.trainer import Trainer, TrainingConfig
 from repro.obs import metrics as obs_metrics

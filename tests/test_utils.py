@@ -156,3 +156,13 @@ class TestSerialization:
         loaded = load_json(path)
         assert loaded["list"][0]["x"] is True
         assert loaded["tuple"] == [1, 2]
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        from repro.api.spec import RunSpec
+
+        spec = RunSpec().validate()
+        path = spec.to_file(os.path.join(tmp_path, "run_spec.json"))
+        with pytest.raises(TypeError):
+            save_json(path, {"search": {"bad": {1, 2}}})  # sets are not JSON
+        assert RunSpec.from_file(path) == spec
+        assert os.listdir(tmp_path) == ["run_spec.json"]
