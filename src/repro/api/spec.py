@@ -29,7 +29,7 @@ Sections:
   default -- for bit-for-bit seed parity) and the inference batch size,
 * ``engine``    -- :class:`~repro.engine.engine.EngineConfig`, reused
   directly (the ``cache`` field, a live object, is not serializable; use
-  ``cache_dir`` in specs).
+  ``store_root`` in specs).
 
 ``evaluation``, ``compute`` and ``engine`` are the optional sections: absent
 sections stay None so "not specified" round-trips as unset.  Unlike the
@@ -59,7 +59,7 @@ from repro.utils.serialization import load_json, save_json
 SPEC_VERSION = 1
 
 # EngineConfig fields that hold live objects and therefore never cross the
-# serialization boundary (configure cache_dir for a shareable on-disk cache).
+# serialization boundary (configure store_root for a shareable on-disk cache).
 _ENGINE_EXCLUDED_FIELDS = ("cache",)
 
 
@@ -272,8 +272,8 @@ class RunSpec:
             if self.engine.cache is not None:
                 raise ValueError(
                     "engine.cache holds a live EvaluationCache object and "
-                    "cannot be serialized; configure engine.cache_dir (an "
-                    "on-disk cache) in specs instead"
+                    "cannot be serialized; configure engine.store_root (a "
+                    "local artifact store) in specs instead"
                 )
             payload["engine"] = _section_to_dict(
                 self.engine, exclude=_ENGINE_EXCLUDED_FIELDS
@@ -303,6 +303,8 @@ class RunSpec:
             if name in _OPTIONAL_SECTIONS and name not in payload:
                 continue  # absent optional sections stay None ("unset")
             section_payload = payload.get(name, {})
+            if section_cls is EngineConfig:
+                section_payload = _without_null_cache_dir(section_payload)
             exclude = _ENGINE_EXCLUDED_FIELDS if section_cls is EngineConfig else ()
             kwargs[name] = _section_from_dict(
                 section_cls, section_payload, name, exclude=exclude
@@ -457,6 +459,23 @@ def _section_to_dict(section: Any, exclude: Tuple[str, ...] = ()) -> Dict[str, A
             value = [_section_to_dict(entry) for entry in value]
         payload[f.name] = value
     return payload
+
+
+def _without_null_cache_dir(engine: Any) -> Any:
+    """The engine section minus ``cache_dir``, a field older specs carry.
+
+    Every spec archived while the engine still had a JSON disk cache holds
+    ``"cache_dir": null``; dropping the null keeps those run directories
+    resumable.  A set directory is rejected, naming its replacement.
+    """
+    if not isinstance(engine, dict) or "cache_dir" not in engine:
+        return engine
+    if engine["cache_dir"] is not None:
+        raise ValueError(
+            "engine.cache_dir is no longer supported; set engine.store_root "
+            "(a local artifact store) to keep evaluations across restarts"
+        )
+    return {key: value for key, value in engine.items() if key != "cache_dir"}
 
 
 def _reject_unknown(payload: Dict[str, Any], allowed: List[str], where: str) -> None:

@@ -11,45 +11,38 @@ configuration, device, dataset contents).  This generalises the paper's
 the timing constraint, the cache rejects children that have already been
 measured.
 
-Three tiers, consulted in order:
+Two tiers, consulted in order:
 
 1. an in-memory LRU,
-2. optional on-disk persistence (one JSON file per entry under
-   ``directory``), so long searches reuse evaluations across restarts --
-   a corrupted or truncated entry file (torn write, disk-full) is skipped
-   with a typed ``cache-entry-corrupt`` event, deleted and recomputed, never
-   a crash,
-3. an optional *shared* tier (:class:`SharedCacheTier`) over a
-   :mod:`repro.store` artifact store, read-through/write-through, so
-   concurrent engines on different hosts never train the same
+2. an optional *shared* tier (:class:`SharedCacheTier`) over a
+   :mod:`repro.store` artifact store, read-through/write-through.  A
+   :class:`~repro.store.core.LocalStore` root keeps results across restarts
+   and shares them between processes on one host; the daemon's store shares
+   them across hosts, so concurrent engines never train the same
    ``(context, child, fidelity)`` twice.  Tier payloads are the canonical
    JSON of the result, stored content-addressed and looked up through a
    fingerprint-named ref, so a fetched result is bit-for-bit the one some
-   other engine computed.  A key that missed remotely is negatively cached
-   and not asked for again until this process publishes it.
+   other engine computed.  The store writes atomically, verifies every read
+   against its hash and deletes a corrupt object, which then reads as a
+   miss and is recomputed.  A key that missed is negatively cached and not
+   asked for again until this process publishes it.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.evaluator import EvaluationResult
-from repro.engine.events import CACHE_ENTRY_CORRUPT
 from repro.engine.serde import result_from_dict, result_to_dict
 from repro.obs import metrics as obs_metrics
 from repro.utils.fingerprint import canonical_json
-from repro.utils.serialization import load_json, save_json
-
-# Receives (event kind, JSON payload); the engine wires it to its event bus.
-CacheEventCallback = Callable[[str, Dict[str, Any]], None]
 
 # Everything a malformed cache payload can raise while being decoded and
-# rebuilt into an EvaluationResult.  OSError covers unreadable files.
-_CORRUPT_ENTRY_ERRORS = (ValueError, KeyError, TypeError, OSError)
+# rebuilt into an EvaluationResult.
+_CORRUPT_ENTRY_ERRORS = (ValueError, KeyError, TypeError)
 
 
 class SharedCacheTier:
@@ -154,24 +147,15 @@ class SharedCacheTier:
 class EvaluationCache:
     """LRU cache mapping content fingerprints to evaluation results."""
 
-    def __init__(
-        self,
-        capacity: int = 1024,
-        directory: Optional[str] = None,
-        tier: Optional[SharedCacheTier] = None,
-    ):
+    def __init__(self, capacity: int = 1024, tier: Optional[SharedCacheTier] = None):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.directory = directory
         self.tier = tier
         self.hits = 0
         self.misses = 0
         self.remote_hits = 0
         self._entries: "OrderedDict[str, EvaluationResult]" = OrderedDict()
-        self._emit_event: Optional[CacheEventCallback] = None
-        if directory is not None:
-            os.makedirs(directory, exist_ok=True)
         self.bind_metrics(obs_metrics.get_registry())
 
     def bind_metrics(self, registry: "obs_metrics.MetricsRegistry") -> None:
@@ -193,26 +177,12 @@ class EvaluationCache:
         self._m_entries = registry.gauge(
             "repro_cache_entries", "In-memory evaluation-cache entries"
         )
-        self._m_corrupt = registry.counter(
-            "repro_cache_corrupt_entries_total",
-            "On-disk cache entries dropped as unreadable",
-        )
         if self.tier is not None:
             self.tier.bind_metrics(registry)
-
-    def bind_events(self, callback: Optional[CacheEventCallback]) -> None:
-        """Wire typed warning events (corrupt entries) to the engine's bus."""
-        self._emit_event = callback
 
     def bind_tracer(self, tracer: Any) -> None:
         if self.tier is not None:
             self.tier.bind_tracer(tracer)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries or self._on_disk(key)
 
     @property
     def hit_rate(self) -> float:
@@ -235,60 +205,21 @@ class EvaluationCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return entry
-        if self.directory is not None and self._on_disk(key):
-            entry = self._load_disk_entry(key)
-            if entry is not None:
-                self._insert(key, entry)
-                self.hits += 1
-                return entry
         if self.tier is not None:
             entry = self.tier.fetch(key)
             if entry is not None:
-                # A shared-tier hit becomes a local entry (memory + disk),
-                # so repeats of this key never leave the process again.
+                # A shared-tier hit becomes an in-memory entry, so repeats
+                # of this key never reach the store again.
                 self._insert(key, entry)
-                if self.directory is not None:
-                    save_json(self._entry_path(key), result_to_dict(entry))
                 self.hits += 1
                 self.remote_hits += 1
                 return entry
         self.misses += 1
         return None
 
-    def _load_disk_entry(self, key: str) -> Optional[EvaluationResult]:
-        """One on-disk entry, or None after dropping an unreadable file.
-
-        Unreadable files happen (a file torn by a writer that was not
-        atomic, a damaged disk); a cache must treat them as misses, not
-        crashes.  The broken file is deleted so the recomputed result can
-        persist cleanly, and the drop is announced as a typed
-        ``cache-entry-corrupt`` event.
-        """
-        path = self._entry_path(key)
-        try:
-            return result_from_dict(load_json(path))
-        except _CORRUPT_ENTRY_ERRORS as error:
-            self._m_corrupt.inc()
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            if self._emit_event is not None:
-                self._emit_event(
-                    CACHE_ENTRY_CORRUPT,
-                    {
-                        "key": key,
-                        "path": path,
-                        "error": f"{type(error).__name__}: {error}",
-                    },
-                )
-            return None
-
     def put(self, key: str, result: EvaluationResult) -> None:
-        """Memoize ``result`` under ``key`` (and persist it when configured)."""
+        """Memoize ``result`` under ``key`` (and publish it to the tier)."""
         self._insert(key, result)
-        if self.directory is not None:
-            save_json(self._entry_path(key), result_to_dict(result))
         if self.tier is not None:
             self.tier.publish(key, result)
 
@@ -298,14 +229,6 @@ class EvaluationCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
         self._m_entries.set(len(self._entries))
-
-    # -- persistence --------------------------------------------------------------
-    def _entry_path(self, key: str) -> str:
-        assert self.directory is not None
-        return os.path.join(self.directory, f"{key}.json")
-
-    def _on_disk(self, key: str) -> bool:
-        return self.directory is not None and os.path.exists(self._entry_path(key))
 
     # -- checkpointing ------------------------------------------------------------
     def snapshot(self) -> List[Tuple[str, Dict[str, Any]]]:
@@ -317,11 +240,3 @@ class EvaluationCache:
         self._entries.clear()
         for key, payload in entries:
             self._insert(str(key), result_from_dict(payload))
-
-    def clear(self) -> None:
-        """Drop all in-memory entries and reset the statistics."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self.remote_hits = 0
-        self._m_entries.set(0)

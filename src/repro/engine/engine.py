@@ -126,12 +126,14 @@ class EngineConfig:
     # batch size, which preserves exact sequential-loop semantics.
     batch_episodes: Optional[int] = None
     use_cache: bool = False
+    # A live cache object (in-process only; never serialized).  It keeps the
+    # tier it was built with, so it cannot be combined with a store below.
     cache: Optional[EvaluationCache] = None
     cache_capacity: int = 1024
-    cache_dir: Optional[str] = None
-    # Shared artifact store (repro.store).  Either implies caching: a local
-    # store root is shared by every run pointed at it on this host, a store
-    # URL adds the daemon's cross-host tier.  Both set builds the full
+    # Shared artifact store (repro.store), the cache's only on-disk tier.
+    # Either implies caching: a local store root keeps results across
+    # restarts and is shared by every run pointed at it on this host, a
+    # store URL adds the daemon's cross-host tier.  Both set builds the full
     # local-first/remote-fallback tiering.
     store_root: Optional[str] = None
     store_url: Optional[str] = None
@@ -162,13 +164,20 @@ class EngineConfig:
             raise ValueError("checkpoint_every must be non-negative")
         if self.blas_threads_per_worker is not None and self.blas_threads_per_worker <= 0:
             raise ValueError("blas_threads_per_worker must be positive when given")
+        if self.cache is not None and (
+            self.store_root is not None or self.store_url is not None
+        ):
+            raise ValueError(
+                "a live cache cannot be combined with store_root or store_url; "
+                "give the store settings alone and the engine builds the cache"
+            )
 
     @property
     def caches(self) -> bool:
-        """Whether a run memoizes evaluations: a live cache, ``use_cache``, a
-        cache directory or a store each give it an :class:`EvaluationCache`."""
+        """Whether a run memoizes evaluations: a live cache, ``use_cache`` or
+        a store each give it an :class:`EvaluationCache`."""
         return self.cache is not None or self.use_cache or any(
-            path is not None for path in (self.cache_dir, self.store_root, self.store_url)
+            path is not None for path in (self.store_root, self.store_url)
         )
 
 
@@ -310,7 +319,6 @@ class SearchEngine:
         self.metrics = obs_metrics.MetricsRegistry(parent=obs_metrics.get_registry())
         if self.cache is not None:
             self.cache.bind_metrics(self.metrics)
-            self.cache.bind_events(self._emit_cache_event)
         self.tracer = Tracer(self._emit_span)
         if self.cache is not None:
             self.cache.bind_tracer(self.tracer)
@@ -345,16 +353,11 @@ class SearchEngine:
     # -- construction helpers -----------------------------------------------------
     def _build_cache(self) -> Optional[EvaluationCache]:
         config = self.config
-        tier = self._build_store_tier()
         if config.cache is not None:
-            if tier is not None and config.cache.tier is None:
-                config.cache.tier = tier
             return config.cache
         if config.caches:
             return EvaluationCache(
-                capacity=config.cache_capacity,
-                directory=config.cache_dir,
-                tier=tier,
+                capacity=config.cache_capacity, tier=self._build_store_tier()
             )
         return None
 
@@ -382,9 +385,6 @@ class SearchEngine:
 
     def _on_store_degraded(self, info: Dict[str, Any]) -> None:
         self._emit(STORE_DEGRADED, payload=info)
-
-    def _emit_cache_event(self, kind: str, payload: Dict[str, Any]) -> None:
-        self._emit(kind, payload=payload)
 
     @property
     def context_key(self) -> str:

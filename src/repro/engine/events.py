@@ -55,12 +55,9 @@ METRICS_UPDATED = "metrics-updated"
 FLEET_DEGRADED = "fleet-degraded"
 FLEET_LEASE_REASSIGNED = "fleet-lease-reassigned"
 FLEET_AGENT_DEAD = "fleet-agent-dead"
-# Artifact-store kinds (repro.store): the remote store tier became
-# unreachable and the run fell back to local-only caching; an on-disk cache
-# entry failed to parse (torn write, disk-full) and was dropped so the
-# evaluation recomputes instead of crashing.
+# Artifact-store kind (repro.store): the remote store tier became
+# unreachable and the run fell back to local-only caching.
 STORE_DEGRADED = "store-degraded"
-CACHE_ENTRY_CORRUPT = "cache-entry-corrupt"
 
 # Kinds that end a run's event stream (a tail can stop following after one).
 TERMINAL_KINDS = (RUN_FINISHED, RUN_CANCELLED)

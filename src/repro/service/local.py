@@ -209,7 +209,7 @@ class LocalExecutor:
         if engine_config.cache is not None:
             raise ValueError(
                 "a live cache object cannot back a registry-managed run; "
-                "configure engine.cache_dir (an on-disk cache) instead"
+                "configure engine.store_root (a local artifact store) instead"
             )
         run_id = reg.new_run_id()
         registry = self.registry

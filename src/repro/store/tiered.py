@@ -13,8 +13,7 @@ therefore costs one failed round trip per process, never a failed run.
 
 Either side may be absent: a local-only tier is a plain passthrough (how a
 shared ``--store-root`` on one host behaves), a remote-only tier keeps the
-degradation contract without double-writing payloads the evaluation cache
-already persists per run.
+degradation contract and keeps nothing on this host's disk.
 """
 
 from __future__ import annotations

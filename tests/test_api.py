@@ -97,8 +97,22 @@ class TestSpecSerialization:
 
     def test_live_cache_object_is_not_serializable(self):
         spec = _tiny_spec(use_cache=True, cache=EvaluationCache(capacity=4))
-        with pytest.raises(ValueError, match="cache_dir"):
+        with pytest.raises(ValueError, match="store_root"):
             spec.to_dict()
+
+    def test_archived_null_cache_dir_loads(self):
+        # Specs archived while the engine had a JSON disk cache carry
+        # "cache_dir": null; they load as if the key were absent.
+        payload = _tiny_spec(use_cache=True).to_dict()
+        archived = json.loads(json.dumps(payload))
+        archived["engine"]["cache_dir"] = None
+        assert RunSpec.from_dict(archived) == RunSpec.from_dict(payload)
+
+    def test_set_cache_dir_is_rejected_naming_store_root(self):
+        payload = _tiny_spec(use_cache=True).to_dict()
+        payload["engine"]["cache_dir"] = "eval-cache"
+        with pytest.raises(ValueError, match="engine.store_root"):
+            RunSpec.from_dict(payload)
 
     def test_cache_key_ignores_engine_but_not_search(self):
         base = _tiny_spec()

@@ -31,6 +31,7 @@ from repro.engine import (
     save_checkpoint,
     set_default_engine_config,
 )
+from repro.engine.cache import SharedCacheTier
 from repro.engine.checkpoint import checkpoint_paths
 from repro.engine.serde import (
     descriptor_from_dict,
@@ -40,6 +41,7 @@ from repro.engine.serde import (
 )
 from repro.hardware.constraints import DesignSpec, HardwareSpec, SoftwareSpec
 from repro.nn.trainer import TrainingConfig
+from repro.store import LocalStore, TieredStore
 from repro.utils.serialization import (
     load_json,
     load_state_dict,
@@ -133,12 +135,16 @@ class TestEvaluationCache:
         assert cache.get("c") is not None
 
     def test_disk_persistence_roundtrip(self, tmp_path):
-        directory = str(tmp_path / "cache")
-        first = EvaluationCache(capacity=4, directory=directory)
-        first.put("deadbeef", _make_result(0.7))
-        # A second cache over the same directory serves the entry from disk.
-        second = EvaluationCache(capacity=4, directory=directory)
-        entry = second.get("deadbeef")
+        root = str(tmp_path / "store")
+
+        def cache_over_store() -> EvaluationCache:
+            tier = SharedCacheTier(TieredStore(local=LocalStore(root)))
+            return EvaluationCache(capacity=4, tier=tier)
+
+        key = "deadbeef" * 8
+        cache_over_store().put(key, _make_result(0.7))
+        # A second cache over the same store root serves the entry from disk.
+        entry = cache_over_store().get(key)
         assert entry is not None
         assert entry.reward == pytest.approx(0.7)
         assert entry.group_accuracy == {"light": 0.9, "dark": 0.6}
@@ -902,6 +908,15 @@ class TestEngineConfigResolution:
             EngineConfig(batch_episodes=0)
         with pytest.raises(ValueError):
             EngineConfig(checkpoint_every=-1)
+
+    def test_live_cache_with_a_store_rejected(self, tmp_path):
+        # A live cache keeps the tier it was built with, so a store setting
+        # next to it would be silently ignored (or leak into a later engine).
+        cache = EvaluationCache(capacity=4)
+        with pytest.raises(ValueError, match="store_root or store_url"):
+            EngineConfig(cache=cache, store_root=str(tmp_path / "store"))
+        with pytest.raises(ValueError, match="store_root or store_url"):
+            EngineConfig(cache=cache, store_url="http://127.0.0.1:1")
 
     def test_wave_larger_than_policy_batch_rejected(self, tiny_splits, tiny_backbone):
         engine = SearchEngine(

@@ -570,12 +570,12 @@ class TestResumeWithCache:
         # Pre-warm a persistent cache with an identically-configured run.
         warm_dir = str(tmp_path / "cache")
         SearchEngine(
-            make_search(), EngineConfig(use_cache=True, cache_dir=warm_dir)
+            make_search(), EngineConfig(use_cache=True, store_root=warm_dir)
         ).run()
 
         # Uninterrupted reference run on the warmed cache.
         reference = SearchEngine(
-            make_search(), EngineConfig(use_cache=True, cache_dir=warm_dir)
+            make_search(), EngineConfig(use_cache=True, store_root=warm_dir)
         ).run()
         assert any(record.cache_hit for record in reference.history.records)
 
@@ -583,12 +583,12 @@ class TestResumeWithCache:
         run_dir = str(tmp_path / "run")
         first = SearchEngine(
             make_search(),
-            EngineConfig(use_cache=True, cache_dir=warm_dir, run_dir=run_dir),
+            EngineConfig(use_cache=True, store_root=warm_dir, run_dir=run_dir),
         )
         first.run(episodes=4)
         resumed_engine = SearchEngine.resume(
             make_search(),
-            EngineConfig(use_cache=True, cache_dir=warm_dir, run_dir=run_dir),
+            EngineConfig(use_cache=True, store_root=warm_dir, run_dir=run_dir),
         )
         assert resumed_engine._next_episode == 4
         resumed = resumed_engine.run(episodes=episodes)
@@ -609,7 +609,7 @@ class TestResumeWithCache:
         # Build the reference state from a fresh uninterrupted engine so the
         # comparison covers sample and child streams after the final episode.
         fresh = SearchEngine(
-            make_search(), EngineConfig(use_cache=True, cache_dir=warm_dir)
+            make_search(), EngineConfig(use_cache=True, store_root=warm_dir)
         )
         fresh.run()
         assert resumed_state == fresh.search._child_rng.bit_generator.state

@@ -19,7 +19,7 @@ from repro.core import FaHaNaConfig, FaHaNaSearch, ProducerConfig
 from repro.core.evaluator import EvaluationResult
 from repro.engine import EngineConfig, EvaluationCache, SearchEngine
 from repro.engine.cache import SharedCacheTier
-from repro.engine.events import CACHE_ENTRY_CORRUPT, STORE_DEGRADED
+from repro.engine.events import STORE_DEGRADED
 from repro.engine.serde import history_to_dict
 from repro.hardware.constraints import DesignSpec, HardwareSpec, SoftwareSpec
 from repro.nn.trainer import TrainingConfig
@@ -239,23 +239,27 @@ class TestTieredStoreDegradation:
 # -- evaluation-cache corruption tolerance -------------------------------------------
 class TestCacheCorruptionTolerance:
     def test_corrupt_disk_entry_is_dropped_and_recomputed(self, tmp_path):
-        directory = str(tmp_path / "cache")
-        cache = EvaluationCache(capacity=8, directory=directory)
-        cache.put("feedface", _result(0.9))
+        root = str(tmp_path / "store")
+        key = "feedface" * 8
 
-        events = []
-        fresh = EvaluationCache(capacity=8, directory=directory)
-        fresh.bind_events(lambda kind, payload: events.append((kind, payload)))
-        entry_path = os.path.join(directory, "feedface.json")
-        with open(entry_path, "w", encoding="utf-8") as handle:
+        def cache_over(store: LocalStore) -> EvaluationCache:
+            return EvaluationCache(
+                capacity=8, tier=SharedCacheTier(TieredStore(local=store))
+            )
+
+        cache_over(LocalStore(root)).put(key, _result(0.9))
+
+        store = LocalStore(root)
+        fresh = cache_over(store)
+        object_path = store.object_path(store.get_ref(key))
+        with open(object_path, "w", encoding="utf-8") as handle:
             handle.write('{"torn": ')
-        assert fresh.get("feedface") is None  # miss, not a crash
-        assert not os.path.exists(entry_path)  # broken file deleted
-        assert events and events[0][0] == CACHE_ENTRY_CORRUPT
-        assert events[0][1]["key"] == "feedface"
+        assert fresh.get(key) is None  # miss, not a crash
+        assert not os.path.exists(object_path)  # broken object deleted
+        assert store.counters["get_corrupt"] == 1
         # The recomputed result persists cleanly.
-        fresh.put("feedface", _result(0.9))
-        assert fresh.get("feedface").reward == 0.9
+        fresh.put(key, _result(0.9))
+        assert cache_over(LocalStore(root)).get(key).reward == 0.9
 
 
 # -- the shared evaluation-cache tier ------------------------------------------------
@@ -336,20 +340,19 @@ class TestSharedCacheTier:
     def test_remote_hits_round_trip_through_disk_cache(
         self, tiny_splits, tiny_backbone, store_service, tmp_path
     ):
+        root = str(tmp_path / "local-store")
         engine = SearchEngine(
             _search(tiny_splits, tiny_backbone, episodes=2, seed=7),
             EngineConfig(
-                use_cache=True,
-                store_url=store_service.url,
-                cache_dir=str(tmp_path / "disk-cache"),
+                use_cache=True, store_url=store_service.url, store_root=root
             ),
         )
         engine.run()
         # Everything the engine computed is on the shared tier AND in the
-        # local disk cache (write-through on both layers).
+        # local store (write-through on both layers).
         assert engine.cache.tier is not None
         assert engine.cache.tier.publishes == engine.evaluations_run
-        assert len(os.listdir(str(tmp_path / "disk-cache"))) > 0
+        assert len(LocalStore(root).keys()) > 0
 
 
 # -- freeze --------------------------------------------------------------------------
