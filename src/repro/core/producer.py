@@ -11,11 +11,20 @@ and materialises child networks from controller decisions:
 
 With ``freeze=False`` the producer degenerates into the MONAS baseline: every
 backbone position is searchable and no pre-trained weights are reused.
+
+The frozen prefix -- the stem and the blocks before the split -- is the same
+in every child, so the first :meth:`BackboneProducer.produce` builds it once,
+with the backbone's weights and batch-norm statistics, and every child gets
+its own unpickled copy of it and builds only its searchable tail.  The copy
+is the child's own because children train concurrently on the thread backend
+and every layer keeps its own workspaces.  Identical prefixes are also what
+lets :class:`~repro.nn.trainer.Trainer` replay the prefix's outputs from one
+child to the next.
 """
 
 from __future__ import annotations
 
-import copy
+import pickle
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -28,7 +37,7 @@ from repro.data.dataset import GroupedDataset
 from repro.nn.layers import BatchNorm2d
 from repro.nn.module import Module, Sequential
 from repro.nn.trainer import Trainer, TrainingConfig
-from repro.utils.rng import SeedLike, new_rng, spawn_rngs
+from repro.utils.rng import SeedLike, new_rng
 from repro.zoo.descriptors import ArchitectureDescriptor
 from repro.zoo.registry import get_architecture
 
@@ -96,6 +105,8 @@ class BackboneProducer:
         self._backbone_model: Optional[Sequential] = None
         self._split_block: int = 0
         self._positions: List[SearchPosition] = []
+        # The pickled frozen prefix, made by the first produce().
+        self._prefix_pickle: Optional[bytes] = None
 
     # -- preparation ---------------------------------------------------------------
     def prepare(self) -> Optional[FreezingAnalysis]:
@@ -238,41 +249,50 @@ class BackboneProducer:
         if seed is None:
             stream = self._rng if rng is None else new_rng(rng)
             seed = int(stream.integers(0, 2**31 - 1))
+        prefix = self._frozen_prefix()
         model = descriptor.build(
             num_classes=self.num_classes,
             width_multiplier=self.config.width_multiplier,
             rng=seed,
+            prefix=prefix,
         )
-        num_frozen = 0
-        if self.config.freeze and self._backbone_model is not None:
-            num_frozen = self._transfer_frozen_weights(model)
-
         return ChildArchitecture(
             descriptor=descriptor,
             model=model,
             decisions=list(decisions),
             num_trainable_parameters=model.num_parameters(trainable_only=True),
-            num_frozen_parameters=num_frozen,
+            num_frozen_parameters=sum(stage.num_parameters() for stage in prefix),
         )
 
-    def _transfer_frozen_weights(self, child_model: Sequential) -> int:
-        """Copy pre-trained weights into the child's frozen prefix and freeze it.
+    def _frozen_prefix(self) -> List[Module]:
+        """A private copy of the frozen prefix (empty when not freezing).
 
         Stage 0 is the stem and stages 1..split_block are the frozen backbone
-        blocks; their layer structure in the child is identical to the
-        backbone model's, so a state-dict copy is exact.
+        blocks, holding the pre-trained weights and batch-norm statistics and
+        marked non-trainable.  The first call builds them fresh -- the
+        backbone's own stages still hold their pre-training workspaces -- and
+        pickles them; every call returns an unpickled copy.
         """
-        assert self._backbone_model is not None
-        frozen_params = 0
-        num_frozen_stages = 1 + self._split_block
-        for stage_index in range(num_frozen_stages):
-            source = self._backbone_model[stage_index]
-            target = child_model[stage_index]
-            target.load_state_dict(source.state_dict())
-            _copy_batchnorm_statistics(source, target)
-            target.freeze()
-            frozen_params += target.num_parameters()
-        return frozen_params
+        if not self.config.freeze or self._backbone_model is None:
+            return []
+        if self._prefix_pickle is None:
+            # The seed is immaterial: the copy below overwrites every weight
+            # the build draws.
+            fresh = self.backbone.build(
+                num_classes=self.num_classes,
+                width_multiplier=self.config.width_multiplier,
+                rng=0,
+            )
+            prefix = []
+            for stage_index in range(1 + self._split_block):
+                source = self._backbone_model[stage_index]
+                target = fresh[stage_index]
+                target.load_state_dict(source.state_dict())
+                _copy_batchnorm_statistics(source, target)
+                target.freeze()
+                prefix.append(target)
+            self._prefix_pickle = pickle.dumps(prefix)
+        return pickle.loads(self._prefix_pickle)
 
     def _ensure_prepared(self) -> None:
         if not self._prepared:

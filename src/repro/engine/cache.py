@@ -154,7 +154,6 @@ class EvaluationCache:
         self.tier = tier
         self.hits = 0
         self.misses = 0
-        self.remote_hits = 0
         self._entries: "OrderedDict[str, EvaluationResult]" = OrderedDict()
         self.bind_metrics(obs_metrics.get_registry())
 
@@ -212,7 +211,6 @@ class EvaluationCache:
                 # of this key never reach the store again.
                 self._insert(key, entry)
                 self.hits += 1
-                self.remote_hits += 1
                 return entry
         self.misses += 1
         return None

@@ -74,6 +74,15 @@ def _check_key(key: str) -> str:
     return key
 
 
+def _holds(path: str, data: bytes) -> bool:
+    """True when the file at ``path`` holds exactly ``data``."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read() == data
+    except OSError:
+        return False
+
+
 class LocalStore:
     """One on-disk content-addressed store root (thread-safe)."""
 
@@ -209,12 +218,14 @@ class LocalStore:
             )
         start = time.perf_counter()
         with self._lock:
-            if key in self._index or os.path.exists(self.object_path(key)):
+            path = self.object_path(key)
+            if _holds(path, data):
                 self._touch(key, len(data))
                 self._count("puts", "put_dup", "dup")
                 self._observe_op("put", start)
                 return key
-            path = self.object_path(key)
+            # Absent, torn or rotted: (re)write it, forgetting any stale size.
+            self._drop(key)
             shard_dir = os.path.dirname(path)
             os.makedirs(shard_dir, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=shard_dir, suffix=".tmp")

@@ -186,6 +186,8 @@ class ArchitectureDescriptor:
         width_multiplier: float = 1.0,
         rng: SeedLike = None,
         dense_classifier_features: Optional[int] = None,
+        *,
+        prefix: Sequence[Module] = (),
     ) -> Sequential:
         """Instantiate a trainable numpy model.
 
@@ -193,30 +195,42 @@ class ArchitectureDescriptor:
         scale presets keep CPU training tractable while preserving the block
         structure.  The returned model is a :class:`Sequential` whose stages
         are: stem, one module per block, head, pooling, classifier.
+
+        ``prefix`` holds already-built leading stages -- the stem, then the
+        first blocks -- which the model takes as they are instead of building
+        them.  Every stage still draws from its own stream of ``rng``, so the
+        stages built here get the weights a full build would give them.
         """
+        if len(prefix) > len(self.blocks) + 1:
+            raise ValueError(
+                f"{self.name}: a prefix of {len(prefix)} stages is longer than "
+                f"the stem and {len(self.blocks)} blocks"
+            )
         classes = num_classes or self.classifier.num_classes
         rngs = spawn_rngs(rng, len(self.blocks) + 3)
 
         def scale(channels: int) -> int:
             return max(1, int(round(channels * width_multiplier)))
 
-        stages: List[Module] = []
-        stem = Sequential(
-            Conv2d(
-                self.stem.ch_in,
-                scale(self.stem.ch_out),
-                self.stem.kernel,
-                stride=self.stem.stride,
-                bias=False,
-                rng=rngs[0],
-            ),
-            BatchNorm2d(scale(self.stem.ch_out)),
-            ReLU(),
-        )
-        stages.append(stem)
+        stages: List[Module] = list(prefix)
+        if not stages:
+            stages.append(
+                Sequential(
+                    Conv2d(
+                        self.stem.ch_in,
+                        scale(self.stem.ch_out),
+                        self.stem.kernel,
+                        stride=self.stem.stride,
+                        bias=False,
+                        rng=rngs[0],
+                    ),
+                    BatchNorm2d(scale(self.stem.ch_out)),
+                    ReLU(),
+                )
+            )
 
-        for index, block in enumerate(self.blocks):
-            scaled_spec = block.scaled(width_multiplier)
+        for index in range(len(stages) - 1, len(self.blocks)):
+            scaled_spec = self.blocks[index].scaled(width_multiplier)
             stages.append(build_block(scaled_spec, rng=rngs[index + 1]))
 
         head_in = scale(self.head.ch_in)

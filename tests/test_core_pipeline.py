@@ -140,6 +140,25 @@ class TestProducer:
         for key in source_state:
             np.testing.assert_allclose(source_state[key], target_state[key])
 
+    def test_each_child_owns_a_copy_of_the_frozen_prefix(self, producer):
+        space = producer.search_space
+        first = producer.produce(
+            [space.decode(p.stride, [0, 0, 0, 0]) for p in producer.positions], rng=0
+        )
+        second = producer.produce(
+            [space.decode(p.stride, [1, 1, 1, 1]) for p in producer.positions], rng=1
+        )
+        backbone = producer.backbone_model
+        for index in range(1 + producer.split_block):
+            stages = (first.model[index], second.model[index], backbone[index])
+            assert len({id(stage) for stage in stages}) == 3
+            params = [stage.parameters() for stage in stages]
+            for a, b, source in zip(*params):
+                assert not a.trainable and not b.trainable
+                assert not np.shares_memory(a.data, b.data)
+                assert a.data.tobytes() == b.data.tobytes() == source.data.tobytes()
+        assert first.num_frozen_parameters == second.num_frozen_parameters > 0
+
     def test_child_model_forward(self, producer, tiny_splits):
         space = producer.search_space
         decisions = [space.decode(p.stride, [0, 0, 1, 2]) for p in producer.positions]

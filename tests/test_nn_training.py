@@ -353,3 +353,138 @@ class TestTrainer:
         trainer = Trainer(TrainingConfig(epochs=1, batch_size=8, seed=0))
         history = trainer.fit(self._toy_model(), x, y, sample_weights=weights)
         assert len(history.losses) == 1
+
+
+class TestFrozenPrefixMemo:
+    """Freeze-aware fit/predict: backward stops at the prefix, and one
+    trainer replays the prefix's outputs for every later equal call."""
+
+    def _data(self, n=24):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(n, 3, 8, 8))
+        y = (x[:, 0].mean(axis=(1, 2)) > 0).astype(int)
+        return x, y
+
+    def _child(self, tail_seed, stride=2):
+        """A frozen stem shared by every child, and a tail of its own."""
+        stem = nn.Sequential(
+            nn.Conv2d(3, 6, 3, stride=stride, rng=0), nn.BatchNorm2d(6), nn.ReLU()
+        ).freeze()
+        return nn.Sequential(
+            stem,
+            nn.Sequential(nn.Conv2d(6, 6, 1, rng=tail_seed), nn.BatchNorm2d(6), nn.ReLU()),
+            nn.GlobalAvgPool2d(),
+            nn.Linear(6, 2, rng=tail_seed + 1),
+        )
+
+    def _state(self, model):
+        params = [p.data.tobytes() for p in model.parameters()]
+        return params, [b.tobytes() for _, b in model.named_buffers()]
+
+    def _count_prefix_forwards(self, model):
+        calls = []
+        original = model[0].forward
+
+        def counted(x):
+            calls.append(len(x))
+            return original(x)
+
+        model[0].forward = counted
+        return calls
+
+    def _config(self):
+        return TrainingConfig(epochs=2, batch_size=8, seed=0)
+
+    def test_backward_stops_at_the_frozen_prefix(self):
+        x, y = self._data()
+        model, reference = self._child(1), self._child(1)
+
+        def no_backward(grad):
+            raise AssertionError("backward ran through the frozen prefix")
+
+        model[0].backward = no_backward
+        history = Trainer(self._config()).fit(model, x, y)
+        expected = Trainer(self._config()).fit(reference, x, y)
+        assert history.losses == expected.losses
+        assert self._state(model) == self._state(reference)
+
+    def test_later_children_replay_the_prefix(self):
+        x, y = self._data()
+        config = self._config()
+        trainer = Trainer(config)
+        first = self._child(1)
+        trainer.fit(first, x, y)
+        trainer.predict(first, x)
+
+        second, cold = self._child(2), self._child(2)
+        calls = self._count_prefix_forwards(second)
+        history = trainer.fit(second, x, y)
+        predictions = trainer.predict(second, x)
+        assert calls == []  # both calls replayed the first child's outputs
+
+        cold_trainer = Trainer(config)
+        assert history.losses == cold_trainer.fit(cold, x, y).losses
+        assert np.array_equal(predictions, cold_trainer.predict(cold, x))
+        # The replay left the prefix's running statistics where a plain
+        # fit would have.
+        assert self._state(second) == self._state(cold)
+
+    def test_a_different_prefix_structure_misses(self):
+        x, y = self._data()
+        trainer = Trainer(self._config())
+        trainer.fit(self._child(1, stride=2), x, y)
+        # Same weights and buffers, another stride: the prefix must run.
+        other = self._child(1, stride=1)
+        calls = self._count_prefix_forwards(other)
+        trainer.fit(other, x, y)
+        assert calls
+
+    def test_replayed_outputs_are_read_only(self):
+        class DoubleInPlace(nn.Module):
+            def forward(self, x):
+                x *= 2.0
+                return x
+
+            def backward(self, grad_output):
+                return grad_output * 2.0
+
+        def child(seed):
+            model = self._child(seed)
+            return nn.Sequential(model[0], DoubleInPlace(), *list(model)[1:])
+
+        x, y = self._data()
+        trainer = Trainer(self._config())
+        trainer.fit(child(1), x, y)  # records; the live output is writable
+        with pytest.raises(ValueError, match="read-only"):
+            trainer.fit(child(2), x, y)
+
+    def test_over_the_byte_bound_nothing_is_kept(self, monkeypatch):
+        import repro.nn.trainer as trainer_module
+
+        x, y = self._data()
+        # Room for the images and the prefix, not for its outputs.
+        monkeypatch.setattr(trainer_module, "PREFIX_MEMO_MAX_BYTES", x.nbytes + 4096)
+        trainer = Trainer(self._config())
+        trainer.fit(self._child(1), x, y)
+        second, cold = self._child(2), self._child(2)
+        calls = self._count_prefix_forwards(second)
+        history = trainer.fit(second, x, y)
+        assert len(calls) == 2 * 3  # every batch of both epochs ran the prefix
+        assert history.losses == Trainer(self._config()).fit(cold, x, y).losses
+
+    def test_prefix_ends_before_trainable_random_or_parameter_free_stages(self):
+        from repro.nn.trainer import _split_frozen_prefix
+
+        frozen = lambda: nn.Sequential(nn.Conv2d(3, 4, 1, rng=0)).freeze()  # noqa: E731
+        trainable = lambda: nn.Linear(4, 2, rng=1)  # noqa: E731
+
+        model = nn.Sequential(frozen(), nn.Identity(), nn.GlobalAvgPool2d(), trainable())
+        prefix, tail = _split_frozen_prefix(model)
+        assert len(prefix) == 1 and len(tail) == 3
+        # A stage that draws random numbers ends the prefix.
+        model = nn.Sequential(frozen(), nn.Dropout(0.5, rng=0), frozen(), trainable())
+        assert len(_split_frozen_prefix(model)[0]) == 1
+        # Any non-Sequential model, or a leading trainable stage: no prefix.
+        linear = trainable()
+        assert _split_frozen_prefix(linear) == ([], [linear])
+        assert _split_frozen_prefix(nn.Sequential(trainable(), frozen()))[0] == []

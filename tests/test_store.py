@@ -122,6 +122,28 @@ class TestLocalStore:
         assert store.put(b"good bytes") == key
         assert store.get(key) == b"good bytes"
 
+    def test_put_over_a_torn_object_rewrites_it(self, tmp_path):
+        root = str(tmp_path / "store")
+        payload = b"good bytes"
+        key = LocalStore(root).put(payload)
+        path = LocalStore(root).object_path(key)
+        with open(path, "wb") as handle:
+            handle.write(b"torn")
+        # A fresh store indexes the torn file; a put of the real payload
+        # must replace it rather than count it as a duplicate.
+        store = LocalStore(root)
+        assert store.put(payload) == key
+        assert store.counters["put_new"] == 1
+        assert store.counters["put_dup"] == 0
+        with open(path, "rb") as handle:
+            assert handle.read() == payload
+        assert store.stats()["bytes"] == len(payload)
+        assert store.get(key) == payload
+        assert store.counters["get_corrupt"] == 0
+        # The rewritten object now dedupes as usual.
+        assert store.put(payload) == key
+        assert store.counters["put_dup"] == 1
+
     def test_lru_eviction_respects_budget_and_pins(self, tmp_path):
         store = LocalStore(str(tmp_path / "store"), max_bytes=64)
         pinned = store.put(b"p" * 24)
@@ -327,7 +349,7 @@ class TestSharedCacheTier:
         )
         result_b = second.run()
         assert second.evaluations_run == 0
-        assert second.cache.remote_hits > 0
+        assert second.cache.tier.hits > 0
         # ...and publish nothing: the daemon's new-object counter is frozen.
         assert store_service.store.stats()["puts"]["new"] == puts_after_first
 

@@ -180,6 +180,23 @@ class TestModelBuilding:
         for (_, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
             np.testing.assert_allclose(pa.data, pb.data)
 
+    def test_build_around_a_prefix_keeps_the_tail_weights(self, tiny_backbone):
+        full = tiny_backbone.build(num_classes=5, width_multiplier=0.5, rng=7)
+        prefix = list(tiny_backbone.build(num_classes=5, width_multiplier=0.5, rng=1))[:3]
+        model = tiny_backbone.build(
+            num_classes=5, width_multiplier=0.5, rng=7, prefix=prefix
+        )
+        assert len(model) == len(full)
+        assert all(model[i] is prefix[i] for i in range(3))
+        for index in range(3, len(full)):
+            built = [p.data.tobytes() for p in model[index].parameters()]
+            assert built == [p.data.tobytes() for p in full[index].parameters()]
+
+    def test_build_rejects_a_prefix_longer_than_the_blocks(self, tiny_backbone):
+        stages = list(tiny_backbone.build(num_classes=5, width_multiplier=0.5, rng=0))
+        with pytest.raises(ValueError, match="prefix"):
+            tiny_backbone.build(width_multiplier=0.5, prefix=stages[:6])
+
     def test_mobilenetv3_with_hidden_classifier_builds(self, rng):
         descriptor = get_architecture("MobileNetV3(S)")
         model = descriptor.build(num_classes=5, width_multiplier=0.125, rng=0)
