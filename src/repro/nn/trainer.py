@@ -18,7 +18,7 @@ last ``predict``.  A later call replays them instead of running the prefix.
 * **Validity.**  A recording is replayed only when everything the prefix
   outputs depend on is equal, compared byte for byte (``-0.0`` differs from
   ``0.0``): the prefix's module structure, parameters and buffers, the
-  images (dtype, shape, strides), every epoch's batch order -- drawn up
+  images (dtype, shape, values), every epoch's batch order -- drawn up
   front, since the loop's generator draws nothing else --, the batch size
   and the epoch count; for ``predict``, the inference batch size.  A miss
   records anew and replaces the old recording; a trainer keeps one fit and
@@ -253,12 +253,9 @@ class _Recording:
         """Keep a read-only copy of one batch's prefix output.
 
         False -- drop the recording -- when the whole call's outputs would
-        exceed the byte budget, or when the output is not C-contiguous (its
-        replayed copy would then differ in memory layout).
+        exceed the byte budget.
         """
         if not self.outputs and output.nbytes // len(output) * self._rows > self._budget:
-            return False
-        if not output.flags.c_contiguous:
             return False
         kept = output.copy()
         kept.flags.writeable = False
@@ -292,7 +289,7 @@ class _PrefixMemo:
             return None, None
         layout, state = _layout_and_state(prefix)
         pixels = images.tobytes()
-        key = (layout, state, images.dtype.str, images.shape, images.strides, pixels, settings)
+        key = (layout, state, images.dtype.str, images.shape, pixels, settings)
         with self._lock:
             kept = self._recordings.get(call)
         # A kept recording never changes, so comparing needs no lock.
