@@ -33,7 +33,6 @@ from repro.version import __version__
 # light while making ``repro.run(spec)`` the one-line front door.
 _API_EXPORTS = (
     "run",
-    "execute",
     "RunSpec",
     "RunReport",
     "ComputeSpec",

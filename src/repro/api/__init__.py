@@ -33,7 +33,7 @@ from repro.api.registry import (
     strategy_descriptions,
     unregister_strategy,
 )
-from repro.api.run import RunReport, execute, run
+from repro.api.run import RunReport, run
 from repro.api import strategies as _builtin_strategies  # noqa: F401  (registers built-ins)
 from repro.api.strategies import RandomSearch, RegularizedEvolutionSearch
 
@@ -56,7 +56,6 @@ __all__ = [
     "unregister_strategy",
     "RunReport",
     "run",
-    "execute",
     "RandomSearch",
     "RegularizedEvolutionSearch",
 ]

@@ -6,7 +6,9 @@ Subcommands:
   the spec schema is exposed as a generated override flag
   (``--search-episodes 20``, ``--engine-backend thread``, ``--strategy
   random``, boolean fields as ``--engine-use-cache/--no-engine-use-cache``);
-  ``--resume`` continues from the checkpoint in ``engine.run_dir``,
+  ``--resume`` continues from the checkpoint in ``engine.run_dir``; the
+  first SIGINT or SIGTERM stops the run at the next wave boundary (exit
+  130, checkpoint left for ``--resume``) and a second one ends it at once,
 * ``validate spec.json``              -- parse, validate and print the
   canonical spec plus its cache key without running anything,
 * ``strategies``                      -- list the registered strategies,
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import signal
 import sys
 from typing import Dict, List, Optional
 
@@ -38,7 +41,7 @@ from repro.api.registry import strategy_descriptions
 from repro.api.run import run as run_spec
 from repro.api.spec import RunSpec, spec_schema
 from repro.engine.checkpoint import has_checkpoint
-from repro.engine.engine import resolve_engine_config
+from repro.engine.engine import StopToken, resolve_engine_config
 from repro.service.cli import SERVICE_COMMANDS, add_service_subparsers
 from repro.service.errors import RunNotFound, RunNotReady, ServiceError
 
@@ -164,7 +167,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"cache={'on' if engine.caches else 'off'}"
         + (f", run_dir={engine.run_dir}" if engine.run_dir else "")
     )
-    report = run_spec(spec, resume=args.resume)
+    stop_token = StopToken()
+
+    def _request_stop(signum, frame):  # noqa: ARG001
+        # The first signal asks for a stop at the next wave boundary, where
+        # the engine checkpoints; a second one ends the process at once.
+        for stop_signal in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(stop_signal, signal.SIG_DFL)
+        stop_token.request()
+
+    previous = {
+        stop_signal: signal.signal(stop_signal, _request_stop)
+        for stop_signal in (signal.SIGINT, signal.SIGTERM)
+    }
+    try:
+        report = run_spec(spec, resume=args.resume, stop_token=stop_token)
+    finally:
+        for stop_signal, handler in previous.items():
+            signal.signal(stop_signal, handler)
     if report.resumed_from is not None:
         print(f"resumed from episode {report.resumed_from}")
     print("\n== search summary ==")
@@ -174,6 +194,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if report.best is not None:
         print("\n== best searched architecture ==")
         print(report.best.descriptor.describe())
+    if report.cancelled:
+        if report.spec_path is not None:
+            hint = f"resume with: repro-search run {report.spec_path} --resume"
+        else:
+            hint = "no engine.run_dir, so there is no checkpoint to resume"
+        print(
+            f"stopped after {len(report.history)} episodes; {hint}",
+            file=sys.stderr,
+        )
+        return 130
     return 0
 
 

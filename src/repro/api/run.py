@@ -8,16 +8,12 @@ paths and the resolved spec.  With a run directory configured, the resolved
 spec is archived next to the checkpoint (``run_spec.json``) so a run can be
 re-launched -- locally or on a remote worker -- from its own artifacts.
 
-Since the run-service redesign, ``run()`` is thin sugar over the lifecycle
-API: it submits the spec to a :class:`~repro.service.client.RunClient`
-backed by an ephemeral in-process
-:class:`~repro.service.local.LocalExecutor` and blocks on
-``handle.result()``.  The synchronous entry point and a service-managed run
-therefore execute the exact same code -- :func:`execute` -- and produce
-bit-for-bit identical reports.  :func:`execute` itself stays importable for
-callers that need the extra lifecycle hooks (a cooperative
-:class:`~repro.engine.engine.StopToken`, a live event callback) without a
-client in between.
+``run()`` executes in the calling thread: a profiler around it sees the
+search itself, a ``KeyboardInterrupt`` stops it where it is, and the report
+(with its live engine) is the caller's alone.  The run service's
+:class:`~repro.service.local.LocalExecutor` worker threads call the same
+function, so a service-managed run and a direct one produce bit-for-bit
+identical reports.
 """
 
 from __future__ import annotations
@@ -163,7 +159,7 @@ def _resolve_engine_config(
     return resolve_engine_config(explicit if explicit is not None else spec.engine)
 
 
-def execute(
+def run(
     spec: SpecLike,
     *,
     engine: Optional[EngineConfig] = None,
@@ -174,19 +170,20 @@ def execute(
     stop_token: Optional[StopToken] = None,
     event_callback: Optional[Callable[[EngineEvent], None]] = None,
 ) -> RunReport:
-    """Execute the run a spec describes, synchronously, in this thread.
+    """Execute the run a spec describes in this thread; return its report.
 
-    This is the one execution path behind both ``repro.run`` and the run
-    service.  ``spec`` may be a :class:`RunSpec`, a path to a spec JSON file
-    or a plain dict.  ``train_dataset``/``validation_dataset`` inject
-    pre-built (e.g. normalised) splits in place of the spec's dataset
-    section -- both must be given together; ``design_spec`` likewise
-    overrides the design section with an already-materialised
-    :class:`DesignSpec`.  When either is injected the spec no longer fully
-    describes the run, so no ``run_spec.json`` is archived in the run
-    directory (``spec_path`` stays None).  ``engine`` overrides the spec's
-    engine section (setting both is an error); ``resume=True`` continues
-    from the checkpoint in the engine's run directory.
+    This is the one execution path behind ``repro.run``, ``repro-search
+    run`` and the run service.  ``spec`` may be a :class:`RunSpec`, a path
+    to a spec JSON file or a plain dict.  ``train_dataset``/
+    ``validation_dataset`` inject pre-built (e.g. normalised) splits in
+    place of the spec's dataset section -- both must be given together;
+    ``design_spec`` likewise overrides the design section with an
+    already-materialised :class:`DesignSpec`.  When either is injected the
+    spec no longer fully describes the run, so no ``run_spec.json`` is
+    archived in the run directory (``spec_path`` stays None).  ``engine``
+    overrides the spec's engine section (setting both is an error);
+    ``resume=True`` continues from the checkpoint in the engine's run
+    directory.
 
     ``stop_token`` is checked at wave boundaries: once requested, the engine
     writes its checkpoint and returns a partial report with
@@ -260,44 +257,3 @@ def execute(
         spec_path=spec_path,
         engine=search_engine,
     )
-
-
-def run(
-    spec: SpecLike,
-    *,
-    engine: Optional[EngineConfig] = None,
-    resume: bool = False,
-    train_dataset: Optional[GroupedDataset] = None,
-    validation_dataset: Optional[GroupedDataset] = None,
-    design_spec: Optional[DesignSpec] = None,
-) -> RunReport:
-    """Execute the run a spec describes and return the unified report.
-
-    Thin sugar over the run lifecycle API: the spec is submitted to an
-    ephemeral in-process :class:`~repro.service.local.LocalExecutor` through
-    :class:`~repro.service.client.RunClient` and the call blocks on
-    ``handle.result()``.  Every argument is forwarded to :func:`execute`
-    unchanged, so the report -- cache keys included -- is bit-for-bit
-    identical to running the spec directly.  See :func:`execute` for the
-    argument semantics.
-    """
-    # Imported lazily: repro.service builds on this module.
-    from repro.service.client import RunClient
-
-    handle = RunClient.local().submit(
-        spec,
-        engine=engine,
-        resume=resume,
-        train_dataset=train_dataset,
-        validation_dataset=validation_dataset,
-        design_spec=design_spec,
-    )
-    try:
-        return handle.result()
-    except KeyboardInterrupt:
-        # The engine runs on a background thread now; without this it would
-        # keep computing after Ctrl-C.  The cooperative cancel checkpoints at
-        # the next wave boundary (when a run_dir is configured), so an
-        # interrupted run is resumable just like a cancelled one.
-        handle.cancel()
-        raise

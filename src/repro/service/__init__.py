@@ -2,7 +2,7 @@
 
 * :mod:`repro.service.client`   -- :class:`RunClient` / :class:`RunHandle`
   and the :class:`Executor` backend protocol,
-* :mod:`repro.service.local`    -- :class:`LocalExecutor`: background-thread
+* :mod:`repro.service.local`    -- :class:`LocalExecutor`: worker-thread
   execution, bounded worker slots, on-disk run registry,
 * :mod:`repro.service.remote`   -- :class:`ServiceExecutor`: the HTTP client
   for a ``repro-search serve`` daemon,
@@ -14,8 +14,8 @@
 * :mod:`repro.service.cli`      -- the ``repro-search`` serve/submit/status/
   tail/cancel/list subcommands.
 
-``repro.run(spec)`` is sugar over this API: ``RunClient.local()
-.submit(spec).result()``.
+``repro.run(spec)`` executes the same code synchronously in the caller's
+thread; this API adds run ids, a registry and non-blocking submission.
 """
 
 from repro.service.client import Executor, RunClient, RunHandle

@@ -11,8 +11,8 @@ A run is something you *submit*, then watch, cancel or resume by id::
     report = handle.result()                         # blocks; raises on failure
 
 Both backends implement the same :class:`Executor` protocol, so everything
-above is backend-agnostic; ``repro.run(spec)`` is exactly
-``RunClient.local().submit(spec).result()``.
+above is backend-agnostic.  ``repro.run(spec)`` needs no client: it runs
+the same code in the caller's thread and returns the report.
 """
 
 from __future__ import annotations
@@ -116,17 +116,11 @@ class RunClient:
         self.executor = executor
 
     @classmethod
-    def local(
-        cls,
-        runs_root: Optional[str] = None,
-        max_workers: Optional[int] = None,
-    ) -> "RunClient":
+    def local(cls, runs_root: str, max_workers: int = 1) -> "RunClient":
         """A client over an in-process :class:`LocalExecutor`.
 
-        Without ``runs_root`` runs are ephemeral (no on-disk registry) and
-        each submission gets its own thread; with ``runs_root`` every run is
-        registered under ``<runs_root>/<run_id>/`` and ``max_workers``
-        bounds the worker-slot pool (defaulting to 1: strict FIFO).
+        Every run is registered under ``<runs_root>/<run_id>/`` and
+        ``max_workers`` bounds the worker-slot pool (1: strict FIFO).
         """
         from repro.service.local import LocalExecutor
 

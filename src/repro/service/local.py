@@ -1,22 +1,19 @@
-"""The in-process executor backend: background threads + on-disk registry.
+"""The in-process executor backend: worker threads + on-disk registry.
 
-:class:`LocalExecutor` turns the synchronous :func:`repro.api.run.execute`
-into the non-blocking lifecycle the :class:`~repro.service.client.RunClient`
-API exposes:
+:class:`LocalExecutor` turns the synchronous :func:`repro.api.run.run` into
+the non-blocking lifecycle the :class:`~repro.service.client.RunClient` API
+exposes.  Every run gets a directory under the runs root (spec, status,
+telemetry, checkpoint, report) and a bounded worker-slot pool executes
+submissions in strict FIFO order -- submissions beyond the slot count
+queue.  This is the engine room of the HTTP daemon (``repro-search serve``),
+of ``repro-search submit`` without a daemon and of any shared-filesystem
+scheduler.  ``repro.run`` itself does not come through here: it executes in
+the caller's thread.
 
-* **Ephemeral mode** (``runs_root=None``): no on-disk registry; each
-  submission runs on its own background thread.  This is what the
-  ``repro.run`` sugar uses -- same execution path, zero extra artifacts.
-* **Registry mode** (``runs_root=...``): every run gets a directory under
-  the runs root (spec, status, telemetry, checkpoint, report) and a bounded
-  worker-slot pool executes submissions in strict FIFO order -- submissions
-  beyond the slot count queue.  This is the engine room of the HTTP daemon
-  (``repro-search serve``) and of any shared-filesystem scheduler.
-
-Cancellation is cooperative: each run carries a
-:class:`~repro.engine.engine.StopToken` (file-backed in registry mode, so
-``repro-search cancel`` works from another process); the engine stops at a
-wave boundary and leaves a resumable checkpoint.
+Cancellation is cooperative: each run carries a file-backed
+:class:`~repro.engine.engine.StopToken`, so ``repro-search cancel`` works
+from another process; the engine stops at a wave boundary and leaves a
+resumable checkpoint.
 """
 
 from __future__ import annotations
@@ -27,13 +24,8 @@ import time
 from dataclasses import replace
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.api.run import (
-    RunReport,
-    _resolve_engine_config,
-    _resolve_spec,
-    execute,
-)
-from repro.api.spec import RunSpec
+from repro.api.run import RunReport, _resolve_engine_config, _resolve_spec
+from repro.api.run import run as run_spec
 from repro.engine.engine import StopToken
 from repro.engine.events import EngineEvent
 from repro.obs import metrics as obs_metrics
@@ -60,34 +52,21 @@ class _Run:
         self.report: Optional[RunReport] = None
         self.error: Optional[BaseException] = None
         self.resume = False
-        # Execution inputs of an ephemeral run (registry runs re-load their
-        # spec from run_spec.json so a daemon restart loses nothing).
-        self.spec: Optional[RunSpec] = None
-        self.options: Dict[str, Any] = {}
-        # Ephemeral runs keep their status purely in memory.
-        self.status: Dict[str, Any] = {}
 
 
 class LocalExecutor:
-    """Executes runs on background threads; see the module docstring."""
+    """Executes registered runs on worker threads; see the module docstring."""
 
-    # Finished _Run objects retained in memory (registry mode): beyond this,
-    # the oldest are evicted -- their status/report/events all have
-    # file-backed fallbacks, so only the live RunReport object is lost.
+    # Finished _Run objects retained in memory: beyond this, the oldest are
+    # evicted -- their status/report/events all have file-backed fallbacks,
+    # so only the live RunReport object is lost.
     MAX_RETAINED_RUNS = 64
 
-    def __init__(
-        self,
-        runs_root: Optional[str] = None,
-        max_workers: Optional[int] = None,
-        recover: bool = False,
-    ):
-        self.registry = None if runs_root is None else RunRegistry(runs_root)
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive when given")
-        if max_workers is None and self.registry is not None:
-            max_workers = 1  # registry mode defaults to one strict-FIFO slot
-        self.max_workers = max_workers  # None = one thread per submission
+    def __init__(self, runs_root: str, max_workers: int = 1, recover: bool = False):
+        if max_workers < 1:
+            raise ValueError("max_workers must be a positive number of slots")
+        self.registry = RunRegistry(runs_root)
+        self.max_workers = max_workers
         self._runs: Dict[str, _Run] = {}
         self._lock = threading.Lock()
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
@@ -96,8 +75,6 @@ class LocalExecutor:
         self._draining = False
         self._register_metric_callbacks()
         if recover:
-            if self.registry is None:
-                raise ValueError("recover=True needs a runs_root")
             self._recover_stale_runs()
 
     def _register_metric_callbacks(self) -> None:
@@ -110,8 +87,8 @@ class LocalExecutor:
         metrics = obs_metrics.get_registry()
         metrics.register_callback(
             "repro_service_worker_slots",
-            "Configured worker slots (0 = one thread per submission)",
-            lambda: float(self.max_workers or 0),
+            "Configured worker slots",
+            lambda: float(self.max_workers),
         )
         metrics.register_callback(
             "repro_service_slots_busy",
@@ -164,48 +141,34 @@ class LocalExecutor:
 
     # -- submission ----------------------------------------------------------------
     def submit(self, spec: Any, **options: Any) -> str:
-        """Validate and enqueue a run; returns its id without blocking.
+        """Validate, register and enqueue a run; returns its id without blocking.
 
-        ``options`` are the keyword arguments of :func:`repro.api.run.execute`
-        (``engine``, ``resume``, injected datasets/design).  Validation --
-        spec schema, strategy lookup, engine-section conflicts -- happens
-        here, synchronously, so a bad submission fails loudly at the
-        submitter, not inside a worker thread.
+        ``options`` are keyword arguments of :func:`repro.api.run.run`; only
+        ``engine`` applies, because a registered run must be fully described
+        by its archived spec.  Validation -- spec schema, strategy lookup,
+        engine-section conflicts -- happens here, synchronously, so a bad
+        submission fails loudly at the submitter, not inside a worker thread.
         """
         if self._draining:
             raise ServiceDraining("submission")
         resolved = _resolve_spec(spec)
-        engine = options.get("engine")
-        if (options.get("train_dataset") is None) != (
-            options.get("validation_dataset") is None
+        if any(
+            options.get(name) is not None
+            for name in ("train_dataset", "validation_dataset", "design_spec")
         ):
             raise ValueError(
-                "train_dataset and validation_dataset must be provided together"
+                "registry-managed runs must be fully described by their "
+                "spec; injected datasets/design specs cannot be archived"
             )
-        if self.registry is not None:
-            if (
-                options.get("train_dataset") is not None
-                or options.get("design_spec") is not None
-            ):
-                raise ValueError(
-                    "registry-managed runs must be fully described by their "
-                    "spec; injected datasets/design specs cannot be archived"
-                )
-            if options.get("resume"):
-                raise ValueError(
-                    "registry-managed runs resume by id: call resume(run_id) "
-                    "instead of submit(spec, resume=True)"
-                )
-            return self._submit_registered(resolved, engine)
-        return self._submit_ephemeral(resolved, options)
-
-    def _submit_registered(
-        self, spec: RunSpec, engine: Optional[Any]
-    ) -> str:
+        if options.get("resume"):
+            raise ValueError(
+                "registry-managed runs resume by id: call resume(run_id) "
+                "instead of submit(spec, resume=True)"
+            )
         # Resolve the effective engine configuration now (raises on the
         # spec-vs-explicit conflict) and re-root it into the registry's run
         # directory, so the archived run_spec.json is resume-ready verbatim.
-        engine_config = _resolve_engine_config(spec, engine)
+        engine_config = _resolve_engine_config(resolved, options.get("engine"))
         if engine_config.cache is not None:
             raise ValueError(
                 "a live cache object cannot back a registry-managed run; "
@@ -216,23 +179,8 @@ class LocalExecutor:
         effective = replace(
             engine_config, run_dir=registry.run_dir(run_id), telemetry=True
         )
-        registry.create(replace(spec, engine=effective), run_id=run_id)
+        registry.create(replace(resolved, engine=effective), run_id=run_id)
         run = _Run(run_id, StopToken(path=registry.cancel_path(run_id)))
-        with self._lock:
-            self._runs[run_id] = run
-        self._enqueue(run_id)
-        return run_id
-
-    def _submit_ephemeral(self, spec: RunSpec, options: Dict[str, Any]) -> str:
-        # Surface engine-section conflicts at submit time (the result is
-        # discarded; execute() re-resolves identically in the worker).
-        _resolve_engine_config(spec, options.get("engine"))
-        run_id = f"local-{reg.new_run_id()}"
-        run = _Run(run_id, StopToken())
-        run.spec = spec
-        run.options = dict(options)
-        run.resume = bool(run.options.pop("resume", False))
-        run.status = reg.initial_status(run_id, spec)
         with self._lock:
             self._runs[run_id] = run
         self._enqueue(run_id)
@@ -243,10 +191,6 @@ class LocalExecutor:
         if self._draining:
             raise ServiceDraining("resume")
         registry = self.registry
-        if registry is None:
-            raise ValueError(
-                "resume-by-id needs a registry-backed executor (runs_root)"
-            )
         status = registry.load_status(run_id)
         if status["state"] not in reg.TERMINAL_STATES:
             raise ValueError(
@@ -276,13 +220,6 @@ class LocalExecutor:
 
     # -- worker plumbing -----------------------------------------------------------
     def _enqueue(self, run_id: str) -> None:
-        if self.max_workers is None:
-            thread = threading.Thread(
-                target=self._execute, args=(run_id,), daemon=True,
-                name=f"repro-run-{run_id}",
-            )
-            thread.start()
-            return
         self._queue.put(run_id)
         with self._lock:
             self._workers = [t for t in self._workers if t.is_alive()]
@@ -317,8 +254,9 @@ class LocalExecutor:
         its next wave boundary and leaves a resumable checkpoint -- and the
         drain waits (up to ``timeout`` seconds total) for those runs to
         finalize.  Queued-but-unstarted runs are left queued on disk: a
-        registry-mode successor re-enqueues them on recovery, so no accepted
-        work is lost.  Returns the ids of the runs that were checkpointed.
+        successor started with ``recover=True`` re-enqueues them, so no
+        accepted work is lost.  Returns the ids of the runs that were
+        checkpointed.
         """
         self._draining = True  # repro-lint: disable=THR001 -- one-way bool flip, atomic under the GIL; submit observes either value safely
         with self._lock:
@@ -329,8 +267,7 @@ class LocalExecutor:
             ]
         for run in in_flight:
             run.stop_token.request()
-            if self.registry is not None:
-                self.registry.request_cancel(run.run_id)
+            self.registry.request_cancel(run.run_id)
         deadline = None if timeout is None else time.monotonic() + timeout
         for run in in_flight:
             remaining = (
@@ -372,22 +309,12 @@ class LocalExecutor:
         self._set_status(run, state=reg.RUNNING, started_at=time.time())
         self._busy_slots += 1
         try:
-            if self.registry is not None:
-                spec = self.registry.load_spec(run_id)
-                report = execute(
-                    spec,
-                    resume=run.resume,
-                    stop_token=run.stop_token,
-                    event_callback=run.events.append,
-                )
-            else:
-                report = execute(
-                    run.spec,
-                    resume=run.resume,
-                    stop_token=run.stop_token,
-                    event_callback=run.events.append,
-                    **run.options,
-                )
+            report = run_spec(
+                self.registry.load_spec(run_id),
+                resume=run.resume,
+                stop_token=run.stop_token,
+                event_callback=run.events.append,
+            )
             run.report = report
             state = reg.CANCELLED if report.cancelled else reg.FINISHED
             best = report.best
@@ -399,8 +326,7 @@ class LocalExecutor:
                 best_reward=None if best is None else best.reward,
                 resumed_from=report.resumed_from,
             )
-            if self.registry is not None:
-                self.registry.save_report(run_id, report.to_dict())
+            self.registry.save_report(run_id, report.to_dict())
         except BaseException as error:  # re-raised to the caller by result()
             run.error = error
             self._set_status(
@@ -416,14 +342,12 @@ class LocalExecutor:
             self._evict_finished_runs()
 
     def _evict_finished_runs(self) -> None:
-        """Bound in-memory retention of completed registry runs.
+        """Bound in-memory retention of completed runs.
 
         Everything an evicted run can still be asked for -- status, report,
         events -- is served from its run directory; only ``result()``'s live
         ``RunReport`` object is tied to the in-memory record.
         """
-        if self.registry is None:
-            return
         with self._lock:
             done = [run for run in self._runs.values() if run.done.is_set()]
             for run in done[: max(0, len(done) - self.MAX_RETAINED_RUNS)]:
@@ -436,10 +360,7 @@ class LocalExecutor:
 
     def _set_status(self, run: _Run, **changes: Any) -> Dict[str, Any]:
         with self._lock:
-            if self.registry is not None:
-                return self.registry.update_status(run.run_id, **changes)
-            run.status.update(changes)
-            return dict(run.status)
+            return self.registry.update_status(run.run_id, **changes)
 
     # -- lifecycle queries ----------------------------------------------------------
     def _get_run(self, run_id: str) -> Optional[_Run]:
@@ -447,13 +368,7 @@ class LocalExecutor:
             return self._runs.get(run_id)
 
     def status(self, run_id: str) -> Dict[str, Any]:
-        run = self._get_run(run_id)
-        if self.registry is not None:
-            return self.registry.load_status(run_id)  # raises RunNotFound
-        if run is None:
-            raise RunNotFound(run_id)
-        with self._lock:
-            return dict(run.status)
+        return self.registry.load_status(run_id)  # raises RunNotFound
 
     def result(self, run_id: str, timeout: Optional[float] = None) -> RunReport:
         """Block until the run completes; return the live RunReport object."""
@@ -475,17 +390,16 @@ class LocalExecutor:
         run = self._get_run(run_id)
         if run is not None and run.report is not None:
             return run.report.to_dict()
-        if self.registry is not None:
-            payload = self.registry.load_report(run_id)
-            if payload is not None:
-                return payload
+        payload = self.registry.load_report(run_id)
+        if payload is not None:
+            return payload
         status = self.status(run_id)  # raises RunNotFound on an unknown id
         raise RunNotReady(run_id, status["state"])
 
     def cancel(self, run_id: str) -> Dict[str, Any]:
         run = self._get_run(run_id)
         if run is None:
-            if self.registry is not None and self.registry.exists(run_id):
+            if self.registry.exists(run_id):
                 # A run owned by another process on the shared runs root:
                 # the marker file reaches its file-backed stop token.
                 return self.registry.request_cancel(run_id)
@@ -493,10 +407,7 @@ class LocalExecutor:
         if run.done.is_set():
             return self.status(run_id)
         run.stop_token.request()
-        if self.registry is not None:
-            self.registry.request_cancel(run_id)  # marker file + status flag
-        else:
-            self._set_status(run, cancel_requested=True)
+        self.registry.request_cancel(run_id)  # marker file + status flag
         # A run still waiting for a worker slot never starts: finalize now so
         # cancel-while-queued is immediate rather than deferred to dequeue.
         with self._lock:
@@ -511,17 +422,11 @@ class LocalExecutor:
         run = self._get_run(run_id)
         if run is not None:
             return run.events.iter(since=since, follow=follow)
-        if self.registry is not None and self.registry.exists(run_id):
+        if self.registry.exists(run_id):
             return tail_telemetry(
                 self.registry.telemetry_path(run_id), since=since, follow=follow
             )
         raise RunNotFound(run_id)
 
     def list_runs(self) -> List[Dict[str, Any]]:
-        if self.registry is not None:
-            return self.registry.list_statuses()
-        with self._lock:
-            runs = sorted(
-                self._runs.values(), key=lambda run: run.status["created_at"]
-            )
-            return [dict(run.status) for run in runs]
+        return self.registry.list_statuses()

@@ -50,13 +50,11 @@ def new_run_id() -> str:
     return f"{stamp}-{uuid.uuid4().hex[:8]}"
 
 
-def initial_status(
-    run_id: str, spec: RunSpec, run_dir: Optional[str] = None
-) -> Dict[str, Any]:
+def initial_status(run_id: str, spec: RunSpec, run_dir: str) -> Dict[str, Any]:
     """The queued-state status dict of a fresh submission.
 
-    One schema for registry-backed and ephemeral runs, so every status
-    consumer (CLI rows, HTTP clients) sees the same keys either way.
+    One schema for every registered run, so every status consumer (CLI rows,
+    HTTP clients) sees the same keys.
     """
     return {
         "run_id": run_id,

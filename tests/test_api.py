@@ -8,6 +8,10 @@ import dataclasses
 import importlib
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -25,11 +29,15 @@ from repro.api import (
 )
 from repro.analysis import build_import_graph, load_modules
 from repro.api.cli import main as cli_main
-from repro.core.api import default_design_spec, prepare_dataset
 from repro.core.fahana import FaHaNaSearch
-from repro.data.dermatology import DermatologyConfig
+from repro.data.dataset import DatasetSplits, stratified_split
+from repro.data.dermatology import DermatologyConfig, DermatologyGenerator
 from repro.engine import EngineConfig, EvaluationCache, create_pool
+from repro.engine.checkpoint import has_checkpoint, load_checkpoint
+from repro.engine.events import EPISODE_FINISHED, RUN_CANCELLED
 from repro.engine.workers import process_shared
+from repro.hardware.constraints import DesignSpec, HardwareSpec, SoftwareSpec
+from repro.hardware.device import RASPBERRY_PI_4
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SMOKE_SPEC = os.path.join(ROOT, "examples", "specs", "smoke.json")
@@ -186,11 +194,27 @@ class TestRegistry:
             unregister_strategy("custom-fahana")
 
 
+# -- an independent reference for DatasetSpec.build and DesignSpecConfig.build ----
+def prepare_dataset(config: DermatologyConfig, seed: int) -> DatasetSplits:
+    """Generate the synthetic dermatology dataset and split it 60/20/20."""
+    return stratified_split(DermatologyGenerator(config).generate(), rng=seed)
+
+
+def default_design_spec(timing_constraint_ms: float) -> DesignSpec:
+    """The paper's default specification on a Raspberry Pi 4."""
+    return DesignSpec(
+        hardware=HardwareSpec(
+            device=RASPBERRY_PI_4, timing_constraint_ms=timing_constraint_ms
+        ),
+        software=SoftwareSpec(accuracy_constraint=0.0),
+    )
+
+
 class TestRunFacade:
     def test_spec_file_run_matches_run_on_prepared_splits(self, tmp_path):
         """The acceptance criterion: repro.run(from_file(...)) reproduces a
-        run on splits and a design spec built by the ``repro.core.api``
-        helpers exactly (same history, modulo wall-clock)."""
+        run on splits and a design spec built by the reference helpers above
+        exactly (same history, modulo wall-clock)."""
         # The reference spec has only a search section, so its children
         # train at SearchParams' default batch size (32); the file's spec
         # pins the same value.
@@ -427,6 +451,65 @@ class TestSpecCli:
         args = ["run", SMOKE_SPEC, "--search-episodes", "1", "--no-engine-use-cache"]
         assert cli_main(args + ["--store-root", str(tmp_path / "store")]) == 0
         assert "cache=on" in capsys.readouterr().out
+
+    def test_sigint_stops_at_a_wave_boundary_and_resumes(self, tmp_path):
+        """The first SIGINT checkpoints at the next wave boundary and exits
+        130; ``--resume`` then completes the run a straight one computes."""
+        run_dir = str(tmp_path / "run")
+        overrides = {"design.timing_constraint_ms": 1e6, "search.episodes": 120}
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        command = [sys.executable, "-m", "repro.api.cli", "run"]
+        flags = ["--design-timing-constraint-ms", "1e6", "--search-episodes", "120"]
+        child = subprocess.Popen(
+            command + [SMOKE_SPEC, *flags, "--engine-run-dir", run_dir],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            telemetry = os.path.join(run_dir, "telemetry.jsonl")
+            deadline = time.monotonic() + 120
+            while child.poll() is None and time.monotonic() < deadline:
+                if os.path.exists(telemetry):
+                    with open(telemetry, encoding="utf-8") as handle:
+                        if f'"{EPISODE_FINISHED}"' in handle.read():
+                            break
+                time.sleep(0.01)
+            child.send_signal(signal.SIGINT)
+            _, err = child.communicate(timeout=120)
+        finally:
+            if child.poll() is None:
+                child.kill()
+            child.wait()
+        assert child.returncode == 130, err
+        assert "--resume" in err
+        assert has_checkpoint(run_dir)
+        with open(telemetry, encoding="utf-8") as handle:
+            kinds = [json.loads(line)["kind"] for line in handle]
+        assert kinds.count(RUN_CANCELLED) == 1
+        done = kinds.count(EPISODE_FINISHED)
+        assert 0 < done < 120
+
+        resumed = subprocess.run(
+            command + [os.path.join(run_dir, "run_spec.json"), "--resume"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        assert f"resumed from episode {done}" in resumed.stdout
+        history = load_checkpoint(run_dir).history
+        straight = repro.run(
+            RunSpec.from_file(SMOKE_SPEC).with_overrides(values=overrides)
+        ).history
+        assert [r.reward for r in history.records] == [
+            r.reward for r in straight.records
+        ]
+        assert [r.descriptor for r in history.records] == [
+            r.descriptor for r in straight.records
+        ]
 
     @pytest.mark.parametrize("argv", [[], ["--episodes", "10"]])
     def test_a_subcommand_is_required(self, argv, capsys):

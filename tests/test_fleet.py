@@ -17,7 +17,7 @@ import urllib.request
 import pytest
 
 from repro.api.cli import main as cli_main
-from repro.api.run import execute
+from repro.api.run import run
 from repro.engine import EngineConfig
 from repro.engine.checkpoint import has_checkpoint
 from repro.engine.events import (
@@ -545,7 +545,7 @@ class TestFleetOverHTTP:
         fleet events.
         """
         spec = _tiny_spec(episodes=4)
-        direct = execute(spec)
+        direct = run(spec)
 
         fleet_spec = dataclasses.replace(
             spec, engine=EngineConfig(backend="fleet", num_workers=2)

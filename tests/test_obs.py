@@ -11,7 +11,7 @@ import urllib.request
 
 import pytest
 
-from repro.api.run import execute
+from repro.api.run import run
 from repro.api.spec import (
     DatasetSpec,
     DesignSpecConfig,
@@ -285,7 +285,7 @@ class TestTraceExport:
 
     def test_export_round_trip_from_live_run(self, tmp_path):
         run_dir = str(tmp_path / "run")
-        execute(_tiny_spec(), engine=EngineConfig(run_dir=run_dir))
+        run(_tiny_spec(), engine=EngineConfig(run_dir=run_dir))
         summary = export_chrome_trace(run_dir)
         assert summary["spans"] > 0
         with open(summary["path"]) as handle:
@@ -309,7 +309,7 @@ class TestTraceExport:
 # -- instrumented runs ----------------------------------------------------------------
 class TestRunInstrumentation:
     def test_report_metrics_snapshot(self, tmp_path):
-        report = execute(
+        report = run(
             _tiny_spec(),
             engine=EngineConfig(run_dir=str(tmp_path / "run"), use_cache=True),
         )
@@ -327,7 +327,7 @@ class TestRunInstrumentation:
         json.dumps(report.to_dict())
 
     def test_metrics_updated_event_and_progress_line(self, tmp_path):
-        report = execute(
+        report = run(
             _tiny_spec(),
             engine=EngineConfig(run_dir=str(tmp_path / "run"), use_cache=True),
         )
@@ -343,8 +343,8 @@ class TestRunInstrumentation:
         assert "2 episodes" in line and "ep/s" in line and "cache hit rate" in line
 
     def test_per_run_registries_are_isolated(self, tmp_path):
-        first = execute(_tiny_spec(), engine=EngineConfig(use_cache=True))
-        second = execute(_tiny_spec(), engine=EngineConfig(use_cache=True))
+        first = run(_tiny_spec(), engine=EngineConfig(use_cache=True))
+        second = run(_tiny_spec(), engine=EngineConfig(use_cache=True))
 
         def episode_count(report):
             return sum(
@@ -357,10 +357,10 @@ class TestRunInstrumentation:
 
     def test_instrumentation_does_not_steer(self, tmp_path):
         """Float64 runs are bit-for-bit identical with observability off."""
-        baseline = execute(_tiny_spec(episodes=3))
+        baseline = run(_tiny_spec(episodes=3))
         previous = obs.set_enabled(False)
         try:
-            dark = execute(_tiny_spec(episodes=3))
+            dark = run(_tiny_spec(episodes=3))
         finally:
             obs.set_enabled(previous)
         assert [r.reward for r in baseline.history.records] == [

@@ -4,19 +4,21 @@ regularized-evolution strategy satellite."""
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import os
+import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
 
 import pytest
 
 import repro
 from repro.api import DatasetSpec, DesignSpecConfig, RunSpec, SearchParams
 from repro.api.cli import main as cli_main
-from repro.api.run import execute
 from repro.engine import EngineConfig
 from repro.engine.events import (
     CONSUMER_ERROR,
@@ -28,6 +30,7 @@ from repro.engine.events import (
     EventBus,
 )
 from repro.engine.checkpoint import has_checkpoint
+from repro.obs import metrics as obs_metrics
 from repro.service import (
     EventLog,
     LocalExecutor,
@@ -219,11 +222,19 @@ class TestEventBusIsolation:
         def bad_consumer(event):
             raise RuntimeError("subscriber bug")
 
-        report = execute(_tiny_spec(), event_callback=bad_consumer)
+        report = repro.run(_tiny_spec(), event_callback=bad_consumer)
         assert len(report.history) == 2  # the loop completed regardless
 
 
 # -- the local executor lifecycle ----------------------------------------------------
+@pytest.fixture()
+def fresh_metrics():
+    """A fresh process-global metrics registry for the test's duration."""
+    previous = obs_metrics.set_registry(obs_metrics.MetricsRegistry())
+    yield obs_metrics.get_registry()
+    obs_metrics.set_registry(previous)
+
+
 class TestLocalLifecycle:
     def test_submit_status_events_result_parity_with_direct_run(self, tmp_path):
         direct = repro.run(SMOKE_SPEC)
@@ -248,18 +259,59 @@ class TestLocalLifecycle:
                          "report.json", "checkpoint.json"):
             assert os.path.exists(os.path.join(run_dir, artifact)), artifact
 
-    def test_repro_run_routes_through_run_client(self, monkeypatch):
-        submissions = []
-        original = LocalExecutor.submit
+    def test_repro_run_emits_every_event_on_the_callers_thread(self):
+        seen = []
+        report = repro.run(
+            _tiny_spec(),
+            event_callback=lambda event: seen.append(
+                (event.kind, threading.get_ident())
+            ),
+        )
+        kinds = [kind for kind, _ in seen]
+        assert kinds[0] == RUN_STARTED
+        assert kinds[-1] == RUN_FINISHED
+        assert kinds.count(EPISODE_FINISHED) == len(report.history) == 2
+        assert {ident for _, ident in seen} == {threading.get_ident()}
 
-        def spying_submit(self, spec, **options):
-            submissions.append(spec)
-            return original(self, spec, **options)
-
-        monkeypatch.setattr(LocalExecutor, "submit", spying_submit)
+    def test_repro_run_leaves_nothing_holding_the_engine(self):
         report = repro.run(_tiny_spec())
-        assert len(submissions) == 1
-        assert len(report.history) == 2
+        engine = weakref.ref(report.engine)
+        del report
+        gc.collect()
+        assert engine() is None
+
+    def test_repro_run_leaves_an_executors_gauges_alone(
+        self, tmp_path, fresh_metrics
+    ):
+        gauges = (
+            "repro_service_worker_slots",
+            "repro_service_slots_busy",
+            "repro_service_queue_depth",
+            "repro_service_runs",
+        )
+
+        def read():
+            snapshot = fresh_metrics.snapshot()
+            return {
+                name: snapshot.get(name, {"samples": []})["samples"]
+                for name in gauges
+            }
+
+        executor = LocalExecutor(str(tmp_path / "runs"), max_workers=2)
+        before = read()
+        repro.run(_tiny_spec())
+        assert read() == before
+        assert before["repro_service_worker_slots"] == [
+            {"labels": {}, "value": float(executor.max_workers)}
+        ]
+
+    def test_runs_root_is_required(self, tmp_path):
+        with pytest.raises(TypeError):
+            LocalExecutor()
+        with pytest.raises(TypeError):
+            RunClient.local()
+        with pytest.raises(ValueError, match="positive"):
+            LocalExecutor(str(tmp_path / "runs"), max_workers=0)
 
     def test_single_worker_slot_runs_fifo(self, tmp_path):
         client = RunClient.local(runs_root=str(tmp_path / "runs"), max_workers=1)
@@ -289,7 +341,7 @@ class TestLocalLifecycle:
 
     def test_cancel_mid_run_then_resume_matches_uninterrupted_run(self, tmp_path):
         spec = _tiny_spec(episodes=8)
-        baseline = execute(spec)
+        baseline = repro.run(spec)
 
         client = RunClient.local(runs_root=str(tmp_path / "runs"))
         handle = client.submit(spec)
@@ -362,9 +414,7 @@ class TestLocalLifecycle:
         assert len(report.history) == 2
         assert registry.load_status(queued["run_id"])["state"] == "finished"
 
-    def test_recovery_requires_runs_root_and_is_off_by_default(self, tmp_path):
-        with pytest.raises(ValueError, match="needs a runs_root"):
-            LocalExecutor(recover=True)
+    def test_recovery_is_off_by_default(self, tmp_path):
         runs_root = str(tmp_path / "runs")
         from repro.service.registry import RunRegistry
 
@@ -388,7 +438,7 @@ def run_service(tmp_path):
 
 class TestDaemon:
     def test_http_submit_events_report_parity(self, run_service):
-        direct = execute(SMOKE_SPEC)
+        direct = repro.run(SMOKE_SPEC)
         client = RunClient.connect(run_service.url)
         handle = client.submit(SMOKE_SPEC)
 
@@ -652,7 +702,7 @@ class TestRegularizedEvolution:
 class TestOfflineTail:
     def test_tail_cli_works_on_any_run_dir(self, tmp_path, capsys):
         run_dir = str(tmp_path / "plain-run")
-        execute(_tiny_spec(), engine=EngineConfig(run_dir=run_dir))
+        repro.run(_tiny_spec(), engine=EngineConfig(run_dir=run_dir))
         assert cli_main(["tail", run_dir]) == 0
         output = capsys.readouterr().out
         assert "run started: 2 episodes" in output
