@@ -7,8 +7,6 @@ Rule id     Severity  Invariant
                       no wall-clock reads in deterministic code
 ``KEY001``  error     every field of a ``cache_key()``-bearing dataclass joins
                       the fingerprint or is explicitly exempted
-``KEY002``  error     every ``FREEZE_EXEMPT`` entry names an attribute the
-                      class actually declares (no stale exemptions)
 ``SER001``  error     ``to_dict``/``from_dict`` come in pairs; event payloads
                       are plain JSON
 ``OBS001``  error     ``repro.obs`` observes but never steers (no RNG, no
@@ -27,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis.rules.concurrency import ConcurrencyRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.dtype_policy import DtypePolicyRule
-from repro.analysis.rules.key_hygiene import CacheKeyHygieneRule, FreezeExemptRule
+from repro.analysis.rules.key_hygiene import CacheKeyHygieneRule
 from repro.analysis.rules.obs_layering import ObsLayeringRule
 from repro.analysis.rules.serde_contract import SerdeContractRule
 from repro.analysis.visitor import Rule
@@ -35,7 +33,6 @@ from repro.analysis.visitor import Rule
 RULE_CLASSES = (
     DeterminismRule,
     CacheKeyHygieneRule,
-    FreezeExemptRule,
     SerdeContractRule,
     ObsLayeringRule,
     ConcurrencyRule,
@@ -69,7 +66,6 @@ __all__ = [
     "rule_catalog",
     "DeterminismRule",
     "CacheKeyHygieneRule",
-    "FreezeExemptRule",
     "SerdeContractRule",
     "ObsLayeringRule",
     "ConcurrencyRule",

@@ -1,6 +1,4 @@
-"""KEY001/KEY002 -- cache-key and freeze exemption lists cannot rot.
-
-KEY001 -- every dataclass field joins ``cache_key()`` or is exempted.
+"""KEY001 -- every dataclass field joins ``cache_key()`` or is exempted.
 
 The evaluation cache memoizes child evaluations by content fingerprint; a
 spec field that silently skips the fingerprint means two *different*
@@ -22,18 +20,6 @@ mentions the field name as a string literal (dict-payload fingerprints), or
 delegates to ``self.to_dict()`` / ``dataclasses.asdict(self)`` (which see
 every field).  Unknown names in ``CACHE_KEY_EXEMPT`` are errors too, so the
 exemption list cannot rot as fields are renamed.
-
-KEY002 -- every ``FREEZE_EXEMPT`` entry names a real attribute.
-
-:func:`repro.store.freeze.freeze` skips the attributes a class lists in
-``FREEZE_EXEMPT`` when it fingerprints instance state.  An entry that no
-longer matches any attribute -- the field was renamed, the cached statistic
-dropped -- is a silent no-op: the exemption the author *meant* stops
-applying and the attribute it used to cover starts steering fingerprints
-again (or vice versa).  This rule resolves each entry against everything
-that can put a name on an instance: dataclass fields, class-level
-assignments, method/property names, ``__slots__`` entries and ``self.<name>
-= ...`` assignments inside method bodies, and errors on the leftovers.
 """
 
 from __future__ import annotations
@@ -46,7 +32,6 @@ from repro.analysis.project import ModuleInfo
 from repro.analysis.visitor import Rule
 
 EXEMPT_ATTR = "CACHE_KEY_EXEMPT"
-FREEZE_EXEMPT_ATTR = "FREEZE_EXEMPT"
 
 # Calls inside cache_key() that observe every field of the instance.
 _SEES_ALL_METHODS = frozenset({"to_dict", "as_dict", "_asdict"})
@@ -78,10 +63,8 @@ def _dataclass_fields(node: ast.ClassDef) -> List[str]:
     return names
 
 
-def _exempt_fields(
-    node: ast.ClassDef, attr: str = EXEMPT_ATTR
-) -> Optional[Set[str]]:
-    """The ``attr`` exemption tuple/list of the class body, if declared."""
+def _exempt_fields(node: ast.ClassDef) -> Optional[Set[str]]:
+    """The ``CACHE_KEY_EXEMPT`` tuple/list of the class body, if declared."""
     for statement in node.body:
         targets: List[ast.expr] = []
         value: Optional[ast.expr] = None
@@ -90,7 +73,7 @@ def _exempt_fields(
         elif isinstance(statement, ast.AnnAssign) and statement.value is not None:
             targets, value = [statement.target], statement.value
         for target in targets:
-            if isinstance(target, ast.Name) and target.id == attr:
+            if isinstance(target, ast.Name) and target.id == EXEMPT_ATTR:
                 names: Set[str] = set()
                 if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
                     for element in value.elts:
@@ -176,71 +159,4 @@ class CacheKeyHygieneRule(Rule):
                 f"cache_key() of {node.name} ignores field(s) "
                 f"{', '.join(missing)}; fingerprint them or list them in "
                 f"{EXEMPT_ATTR} to mark the exclusion deliberate",
-            )
-
-
-def _declared_attributes(node: ast.ClassDef) -> Set[str]:
-    """Every name the class body can put on the class or an instance."""
-    names: Set[str] = set(_dataclass_fields(node))
-    for statement in node.body:
-        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names.add(statement.name)
-            for inner in ast.walk(statement):
-                if (
-                    isinstance(inner, ast.Attribute)
-                    and isinstance(inner.ctx, ast.Store)
-                    and isinstance(inner.value, ast.Name)
-                    and inner.value.id == "self"
-                ):
-                    names.add(inner.attr)
-        elif isinstance(statement, ast.Assign):
-            for target in statement.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(statement, ast.AnnAssign):
-            if isinstance(statement.target, ast.Name):
-                names.add(statement.target.id)
-    # __slots__ entries are instance attributes too.
-    for statement in node.body:
-        if not isinstance(statement, ast.Assign):
-            continue
-        if not any(
-            isinstance(target, ast.Name) and target.id == "__slots__"
-            for target in statement.targets
-        ):
-            continue
-        if isinstance(statement.value, (ast.Tuple, ast.List, ast.Set)):
-            for element in statement.value.elts:
-                if isinstance(element, ast.Constant) and isinstance(
-                    element.value, str
-                ):
-                    names.add(element.value)
-    return names
-
-
-class FreezeExemptRule(Rule):
-    """KEY002: FREEZE_EXEMPT entries vs declared attributes (see module docstring)."""
-
-    rule_id = "KEY002"
-    severity = ERROR
-    description = (
-        "every FREEZE_EXEMPT entry must name an attribute the class actually "
-        "declares (field, class assignment, method, slot or self.<name>)"
-    )
-    interests = (ast.ClassDef,)
-
-    def visit(self, node: ast.AST, module: ModuleInfo) -> Iterable[Finding]:
-        assert isinstance(node, ast.ClassDef)
-        exempt = _exempt_fields(node, FREEZE_EXEMPT_ATTR)
-        if not exempt:
-            return
-        stale = sorted(exempt - _declared_attributes(node))
-        if stale:
-            yield self.finding(
-                module,
-                node,
-                f"{FREEZE_EXEMPT_ATTR} of {node.name} names unknown "
-                f"attribute(s) {', '.join(stale)}; remove or fix the stale "
-                "entries so the freeze exemption keeps covering what it "
-                "was written for",
             )

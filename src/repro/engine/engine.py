@@ -81,8 +81,11 @@ from repro.engine.workers import WorkerPool, create_pool, ensure_backend
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import Tracer
 from repro.store import LocalStore, RemoteStore, TieredStore
-from repro.store.freeze import fingerprint_payload
-from repro.utils.fingerprint import array_fingerprint, combine_fingerprints
+from repro.utils.fingerprint import (
+    array_fingerprint,
+    combine_fingerprints,
+    content_fingerprint,
+)
 from repro.zoo.descriptors import ArchitectureDescriptor
 
 
@@ -429,11 +432,7 @@ class SearchEngine:
         for knob in ("precision", "inference_batch_size"):
             if training_context.get(knob) is None:
                 training_context.pop(knob, None)
-        # fingerprint_payload keeps the historical content_fingerprint keys
-        # for this JSON-shaped payload, and deterministically freezes any
-        # richer objects (custom datasets, injected callables) a subclassed
-        # search may have put into its context.
-        return fingerprint_payload(
+        return content_fingerprint(
             {
                 "training": training_context,
                 "reward": asdict(pipeline.reward),

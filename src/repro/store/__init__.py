@@ -19,12 +19,6 @@ three layers:
   unreachable remote call flips the tier into *degraded* (local-only) mode
   for the rest of the process: a dead daemon costs one failed round trip
   and a typed ``store-degraded`` event, never a failed run.
-
-:mod:`repro.store.freeze` is the fingerprint side of the story: a recursive
-deterministic freezer that hashes arbitrary object graphs (dicts and sets in
-canonical order, ndarrays by content, functions by qualified name + closure)
-so evaluation contexts with custom datasets or injected callables can join
-the cache key without bespoke ``cache_key()`` code.
 """
 
 from repro.store.core import (
@@ -34,13 +28,6 @@ from repro.store.core import (
     StoreError,
     StoreUnavailable,
     object_key,
-)
-from repro.store.freeze import (
-    FREEZE_EXEMPT_ATTR,
-    UnfreezableError,
-    fingerprint_payload,
-    freeze,
-    freeze_fingerprint,
 )
 from repro.store.remote import RemoteStore
 from repro.store.tiered import TieredStore
@@ -54,9 +41,4 @@ __all__ = [
     "StoreCorruptWrite",
     "StoreUnavailable",
     "object_key",
-    "freeze",
-    "freeze_fingerprint",
-    "fingerprint_payload",
-    "FREEZE_EXEMPT_ATTR",
-    "UnfreezableError",
 ]

@@ -37,7 +37,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ALL_RULE_IDS = (
     "DET001",
     "KEY001",
-    "KEY002",
     "SER001",
     "OBS001",
     "THR001",
@@ -100,23 +99,6 @@ class TestCacheKeyHygieneRule:
         # Direct reference, CACHE_KEY_EXEMPT, to_dict()/asdict() delegation
         # and a key-less dataclass must all pass.
         grouped = by_file(lint_tree(FIXTURES / "key001", only=["KEY001"]))
-        assert "good.py" not in grouped
-
-
-class TestFreezeExemptRule:
-    def test_bad_fixture_flags_stale_entries(self):
-        grouped = by_file(lint_tree(FIXTURES / "key002", only=["KEY002"]))
-        messages = [f.message for f in grouped["bad.py"]]
-        assert len(messages) == 2
-        assert any("StaleFreezeExempt" in m and "vanished" in m for m in messages)
-        assert any("RenamedAttribute" in m and "_old_name" in m for m in messages)
-        # Entries that do resolve are not named in the finding.
-        assert not any("_scratch" in m for m in messages)
-
-    def test_good_fixture_is_clean(self):
-        # Dataclass fields, self.<attr> assignments, method names, slots and
-        # class-level assignments all count as declared attributes.
-        grouped = by_file(lint_tree(FIXTURES / "key002", only=["KEY002"]))
         assert "good.py" not in grouped
 
 

@@ -8,8 +8,6 @@ import hashlib
 import json
 import os
 import socket
-import subprocess
-import sys
 import tempfile
 
 import numpy as np
@@ -29,9 +27,6 @@ from repro.store import (
     RemoteStore,
     StoreError,
     TieredStore,
-    UnfreezableError,
-    freeze,
-    freeze_fingerprint,
     object_key,
 )
 from repro.store.core import StoreCorruptWrite
@@ -375,106 +370,3 @@ class TestSharedCacheTier:
         assert engine.cache.tier is not None
         assert engine.cache.tier.publishes == engine.evaluations_run
         assert len(LocalStore(root).keys()) > 0
-
-
-# -- freeze --------------------------------------------------------------------------
-class TestFreeze:
-    def test_dict_and_set_order_invariance(self):
-        a = {"x": 1, "y": {2, 3, 1}, "z": [1.5, 2.5]}
-        b = {"z": [1.5, 2.5], "y": {1, 3, 2}, "x": 1}
-        assert freeze(a) == freeze(b)
-        assert freeze_fingerprint(a) == freeze_fingerprint(b)
-
-    def test_value_changes_change_the_fingerprint(self):
-        base = {"x": 1, "arr": np.arange(4)}
-        assert freeze_fingerprint(base) != freeze_fingerprint(
-            {"x": 2, "arr": np.arange(4)}
-        )
-        assert freeze_fingerprint(base) != freeze_fingerprint(
-            {"x": 1, "arr": np.arange(5)}
-        )
-
-    def test_golden_stability_across_processes(self):
-        """The fingerprint is process-invariant (no id()/hash-seed leakage)."""
-        program = (
-            "from repro.store import freeze_fingerprint\n"
-            "import numpy as np\n"
-            "payload = {'b': [1, 2.5, 'three'], 'a': {'nested': {4, 5}},\n"
-            "           'arr': np.arange(6, dtype=np.float64)}\n"
-            "print(freeze_fingerprint(payload))\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
-        digests = set()
-        for hash_seed in ("1", "271828"):
-            env["PYTHONHASHSEED"] = hash_seed
-            out = subprocess.run(
-                [sys.executable, "-c", program],
-                capture_output=True,
-                text=True,
-                env=env,
-                check=True,
-            )
-            digests.add(out.stdout.strip())
-        assert len(digests) == 1
-        assert KEY_PATTERN.match(digests.pop())
-
-    def test_function_identity_is_code_not_address(self):
-        def make(scale):
-            def score(x):
-                return x * scale
-
-            return score
-
-        assert freeze(make(2)) == freeze(make(2))
-        assert freeze(make(2)) != freeze(make(3))  # closure state differs
-
-    def test_custom_freeze_hook(self):
-        class WithHook:
-            def __init__(self, big, label):
-                self.big = big
-                self.label = label
-
-            def __freeze__(self):
-                return {"label": self.label}
-
-        a = WithHook(big=object(), label="same")
-        b = WithHook(big=object(), label="same")
-        assert freeze(a) == freeze(b)
-        assert freeze(a) != freeze(WithHook(big=object(), label="other"))
-
-    def test_freeze_exempt_attribute(self):
-        class Stateful:
-            FREEZE_EXEMPT = ("_scratch",)
-
-            def __init__(self, value, scratch):
-                self.value = value
-                self._scratch = scratch
-
-        assert freeze(Stateful(1, "x")) == freeze(Stateful(1, "y"))
-        assert freeze(Stateful(1, "x")) != freeze(Stateful(2, "x"))
-
-    def test_cycles_freeze_deterministically(self):
-        a: dict = {"name": "a"}
-        a["self"] = a
-        b: dict = {"name": "a"}
-        b["self"] = b
-        assert freeze(a) == freeze(b)
-
-    def test_unfreezable_reports_the_path(self, tmp_path):
-        handle = open(tmp_path / "f.txt", "w")
-        try:
-            with pytest.raises(UnfreezableError) as info:
-                freeze({"outer": [{"stream": handle}]})
-            assert "outer" in str(info.value)
-            assert "stream" in str(info.value)
-        finally:
-            handle.close()
-
-    def test_generators_and_locks_are_unfreezable(self):
-        import threading
-
-        with pytest.raises(UnfreezableError):
-            freeze((x for x in range(3)))
-        with pytest.raises(UnfreezableError):
-            freeze({"lock": threading.Lock()})
