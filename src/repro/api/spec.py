@@ -14,7 +14,7 @@ Sections:
   ``monas``, ``random``, or anything registered via
   :func:`repro.api.registry.register_strategy`),
 * ``dataset``   -- :class:`DatasetSpec`: the synthetic dermatology recipe
-  plus the split seed (mirrors :func:`repro.core.api.prepare_dataset`),
+  plus the split seed, built into splits by :meth:`DatasetSpec.build`,
 * ``design``    -- :class:`DesignSpecConfig`: device + timing/accuracy
   constraints, resolved to a :class:`~repro.hardware.constraints.DesignSpec`,
 * ``search``    -- :class:`SearchParams`: the strategy hyper-parameters,
@@ -68,8 +68,8 @@ class DatasetSpec:
     """Recipe for the synthetic dermatology dataset and its 60/20/20 split.
 
     Defaults mirror :class:`~repro.data.dermatology.DermatologyConfig` plus
-    ``split_seed=0``, so a default ``DatasetSpec`` reproduces
-    ``prepare_dataset()`` exactly.
+    ``split_seed=0``, so a default ``DatasetSpec`` builds the default
+    generator's dataset and split.
     """
 
     image_size: int = 32
@@ -105,8 +105,8 @@ class DesignSpecConfig:
     """Serializable form of the hardware/software design specification.
 
     ``device`` is a built-in profile name (see
-    :func:`repro.hardware.device.list_devices`).  Defaults match
-    :func:`repro.core.api.default_design_spec`.
+    :func:`repro.hardware.device.list_devices`).  Defaults are the paper's
+    default specification: a Raspberry Pi 4 with TC = 1500 ms.
     """
 
     device: str = "raspberry-pi-4"

@@ -15,15 +15,8 @@ from typing import Any, Dict
 import numpy as np
 
 
-def save_state_dict(path: str, state: Dict[str, np.ndarray]) -> None:
-    """Save a mapping of parameter names to arrays as a compressed archive."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    np.savez_compressed(path, **state)
-
-
 def load_state_dict(path: str) -> Dict[str, np.ndarray]:
-    """Load a parameter mapping previously written by :func:`save_state_dict`."""
+    """Load a mapping of names to arrays from an ``.npz`` archive."""
     with np.load(path) as archive:
         return {name: archive[name] for name in archive.files}
 

@@ -46,7 +46,6 @@ from repro.utils.serialization import (
     load_json,
     load_state_dict,
     save_json,
-    save_state_dict,
 )
 from repro.zoo.descriptors import ArchitectureDescriptor, HeadSpec
 
@@ -876,7 +875,7 @@ class TestCheckpointResume:
         # compressed archive.
         json_path, npz_path = checkpoint_paths(run_dir)
         save_json(json_path, load_json(json_path))
-        save_state_dict(npz_path, load_state_dict(npz_path))
+        np.savez_compressed(npz_path, **load_state_dict(npz_path))
         with open(json_path, encoding="utf-8") as handle:
             assert handle.read().startswith("{\n  ")
 

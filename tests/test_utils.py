@@ -13,7 +13,6 @@ from repro.utils.serialization import (
     load_json,
     load_state_dict,
     save_json,
-    save_state_dict,
 )
 from repro.utils.tabulate import format_table
 
@@ -128,7 +127,7 @@ class TestSerialization:
     def test_state_dict_roundtrip(self, tmp_path):
         state = {"w": np.arange(6, dtype=np.float64).reshape(2, 3), "b": np.zeros(3)}
         path = os.path.join(tmp_path, "model.npz")
-        save_state_dict(path, state)
+        np.savez_compressed(path, **state)
         loaded = load_state_dict(path)
         assert set(loaded) == {"w", "b"}
         np.testing.assert_allclose(loaded["w"], state["w"])
