@@ -217,6 +217,14 @@ class TestController:
         with pytest.raises(ValueError):
             controller.sample(temperature=0.0)
 
+    def test_nan_probabilities_are_an_error(self):
+        """A diverged head must not quietly sample its first choice."""
+        _, controller = self._controller()
+        for weight, _ in controller._heads.values():
+            weight.data[:] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            controller.sample(rng=0)
+
     def test_log_prob_gradient_matches_numeric(self):
         """BPTT gradient of sum_t log pi(a_t) checked against finite differences."""
         _, controller = self._controller(num_positions=2, hidden=8, seed=1)
