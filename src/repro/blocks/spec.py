@@ -12,8 +12,9 @@ instantiating any weights.  Specifications are used in three places:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple, TypeVar
 
 # The four searchable block types of the paper plus the depth-skip.
 BLOCK_TYPES: Tuple[str, ...] = ("MB", "DB", "RB", "CB")
@@ -21,6 +22,32 @@ BLOCK_TYPES: Tuple[str, ...] = ("MB", "DB", "RB", "CB")
 # Additional non-searchable block kinds: identity skips (depth control) and
 # the bottleneck residual used only by the ResNet-50 zoo descriptor.
 _VALID_TYPES = BLOCK_TYPES + ("SKIP", "RBB")
+
+_T = TypeVar("_T")
+
+
+def cached_method(method: Callable[..., _T]) -> Callable[..., _T]:
+    """Compute a zero-argument method once per instance, then return that value.
+
+    Only for frozen dataclasses: the result must depend on the fields alone,
+    and a frozen instance's fields never change.  The value is stored in the
+    instance's ``__dict__`` under a private name, as
+    :class:`functools.cached_property` stores its value, so the method stays
+    a method.  It is not a field, so ``==``, ``hash``, ``repr`` and
+    :func:`dataclasses.asdict` never see it; :func:`dataclasses.replace`
+    builds a new instance, which computes its own; ``pickle`` carries it.
+    """
+    slot = f"_cached_{method.__name__}"
+
+    @functools.wraps(method)
+    def wrapper(self):
+        try:
+            return self.__dict__[slot]
+        except KeyError:
+            value = self.__dict__[slot] = method(self)
+            return value
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -256,6 +283,7 @@ class BlockSpec:
             ops.append(_bn_cost(self.ch_out, out_hw))
         return ops
 
+    @cached_method
     def param_count(self) -> int:
         """Number of scalar weights in the block (resolution independent)."""
         return int(sum(op.params for op in self.op_costs(8, 8)))
@@ -264,6 +292,7 @@ class BlockSpec:
         """Multiply-accumulate count at the given input resolution."""
         return float(sum(op.macs for op in self.op_costs(height, width)))
 
+    @cached_method
     def cache_key(self) -> str:
         """Canonical content fingerprint of the block specification."""
         from repro.utils.fingerprint import content_fingerprint
@@ -336,9 +365,11 @@ class StemSpec:
             max(1, (width + self.stride - 1) // self.stride),
         )
 
+    @cached_method
     def param_count(self) -> int:
         return int(sum(op.params for op in self.op_costs(8, 8)))
 
+    @cached_method
     def cache_key(self) -> str:
         """Canonical content fingerprint of the stem specification."""
         from repro.utils.fingerprint import content_fingerprint
@@ -401,9 +432,11 @@ class ClassifierSpec:
         )
         return ops
 
+    @cached_method
     def param_count(self) -> int:
         return int(sum(op.params for op in self.op_costs(8, 8)))
 
+    @cached_method
     def cache_key(self) -> str:
         """Canonical content fingerprint of the classifier specification."""
         from repro.utils.fingerprint import content_fingerprint

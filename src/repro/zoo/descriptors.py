@@ -16,7 +16,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.blocks.factory import build_block
-from repro.blocks.spec import BlockSpec, ClassifierSpec, OpCost, StemSpec
+from repro.blocks.spec import (
+    BlockSpec,
+    ClassifierSpec,
+    OpCost,
+    StemSpec,
+    cached_method,
+)
 from repro.nn.layers import (
     BatchNorm2d,
     Conv2d,
@@ -68,9 +74,11 @@ class HeadSpec:
             ),
         ]
 
+    @cached_method
     def param_count(self) -> int:
         return int(sum(op.params for op in self.op_costs(8, 8)))
 
+    @cached_method
     def cache_key(self) -> str:
         """Canonical content fingerprint of the head specification."""
         from repro.utils.fingerprint import content_fingerprint
@@ -139,6 +147,7 @@ class ArchitectureDescriptor:
             ops.append(("classifier", op))
         return ops
 
+    @cached_method
     def param_count(self) -> int:
         """Total number of scalar weights at full scale."""
         total = self.stem.param_count() + self.head.param_count()
@@ -158,6 +167,7 @@ class ArchitectureDescriptor:
         """Number of non-skipped blocks."""
         return sum(1 for block in self.blocks if block.block_type != "SKIP")
 
+    @cached_method
     def cache_key(self) -> str:
         """Canonical content fingerprint of the architecture.
 
