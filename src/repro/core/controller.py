@@ -6,10 +6,18 @@ LSTM cell; a per-decision-kind output head turns the hidden state into logits
 over that decision's vocabulary.  Sampling records everything needed to
 compute ``grad log pi(a_t)`` by backpropagation through time, which the
 policy-gradient trainer (Eq. 2) consumes.
+
+A search samples and back-propagates one small vector at a time, so the cost
+is numpy calls, not arithmetic.  The code keeps their number down without
+changing one bit of a sample or a gradient: every element still goes through
+the same float64 operations in the same order.  Batching episodes would not
+keep them, because a matrix-matrix product does not round like the
+matrix-vector products it replaces.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,11 +42,11 @@ class _StepCache:
 
     head_key: str
     prev_token: int
-    x: np.ndarray
-    h_prev: np.ndarray
+    concat: np.ndarray  # [x, h_prev], the LSTM's input
     c_prev: np.ndarray
     gates: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     c: np.ndarray
+    tanh_c: np.ndarray
     h: np.ndarray
     probs: np.ndarray
     action: int
@@ -155,7 +163,7 @@ class LSTMController:
                 if greedy:
                     action = int(np.argmax(probs))
                 else:
-                    action = int(generator.choice(len(probs), p=probs))
+                    action = _draw(probs, generator)
                 cache.action = action
                 steps.append(cache)
                 per_position.append(action)
@@ -185,26 +193,29 @@ class LSTMController:
         temperature: float,
     ) -> Tuple[_StepCache, np.ndarray, np.ndarray]:
         hidden = self.hidden_size
-        x = self.embedding.data[prev_token]
-        concat = np.concatenate([x, h_prev])
+        concat = np.concatenate([self.embedding.data[prev_token], h_prev])
         z = self.lstm_weight.data @ concat + self.lstm_bias.data
-        i = _sigmoid(z[:hidden])
-        f = _sigmoid(z[hidden : 2 * hidden])
+        # The input and forget gates are adjacent: one elementwise sigmoid
+        # over both gives each element the bits of two separate calls.
+        i_f = _sigmoid(z[: 2 * hidden])
+        i = i_f[:hidden]
+        f = i_f[hidden:]
         g = np.tanh(z[2 * hidden : 3 * hidden])
         o = _sigmoid(z[3 * hidden :])
         c = f * c_prev + i * g
-        h = o * np.tanh(c)
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
         weight, bias = self._heads[head_key]
         logits = (weight.data @ h + bias.data) / temperature
         probs = softmax(logits)
         cache = _StepCache(
             head_key=head_key,
             prev_token=prev_token,
-            x=x,
-            h_prev=h_prev,
+            concat=concat,
             c_prev=c_prev,
             gates=(i, f, g, o),
             c=c,
+            tanh_c=tanh_c,
             h=h,
             probs=probs,
             action=-1,
@@ -229,6 +240,8 @@ class LSTMController:
         hidden = self.hidden_size
         dh_next = np.zeros(hidden)
         dc_next = np.zeros(hidden)
+        # Every step's LSTM weight gradient is written into this one buffer.
+        outer = np.empty_like(self.lstm_weight.data)
         for t in reversed(range(len(sample.steps))):
             cache = sample.steps[t]
             coeff = float(step_coefficients[t])
@@ -242,7 +255,7 @@ class LSTMController:
             dh = weight.data.T @ dlogits + dh_next
 
             i, f, g, o = cache.gates
-            tanh_c = np.tanh(cache.c)
+            tanh_c = cache.tanh_c
             do = dh * tanh_c
             dc = dh * o * (1 - tanh_c**2) + dc_next
             di = dc * g
@@ -258,16 +271,17 @@ class LSTMController:
                     do * o * (1 - o),
                 ]
             )
-            concat = np.concatenate([cache.x, cache.h_prev])
-            self.lstm_weight.accumulate_grad(np.outer(dz, concat))
+            self.lstm_weight.accumulate_grad(np.outer(dz, cache.concat, out=outer))
             self.lstm_bias.accumulate_grad(dz)
             dconcat = self.lstm_weight.data.T @ dz
             dx = dconcat[:hidden]
             dh_next = dconcat[hidden:]
 
-            embedding_grad = np.zeros_like(self.embedding.data)
-            embedding_grad[cache.prev_token] = dx
-            self.embedding.accumulate_grad(embedding_grad)
+            # Only the fed token's row has a gradient.  Adding a zero table
+            # would leave every other row as it is: the gradient starts at
+            # +0.0 and is only summed into, so no row holds -0.0, the one
+            # value that adding +0.0 changes.
+            self.embedding.grad[cache.prev_token] += dx
 
     def log_prob_of(self, sample: ControllerSample) -> float:
         """Log-probability of a previously drawn sample under the current policy.
@@ -293,3 +307,20 @@ class LSTMController:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+
+
+def _draw(probs: np.ndarray, generator: np.random.Generator) -> int:
+    """``generator.choice(len(probs), p=probs)`` without its per-call overhead.
+
+    These are the steps ``Generator.choice`` itself takes for one draw with
+    replacement: the same cumulative sum, normalisation, single ``random()``
+    and right-sided search.  So the draw picks the same index and leaves the
+    generator in the same state, at a third of the cost.  ``choice``'s
+    refusal of NaN probabilities is kept; its other checks (negative entries,
+    a sum away from 1) cannot fail on a softmax.
+    """
+    cdf = probs.cumsum()
+    if math.isnan(cdf[-1]):
+        raise ValueError("Probabilities contain NaN")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(generator.random(), side="right"))
