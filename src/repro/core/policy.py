@@ -25,7 +25,6 @@ class PolicyGradientConfig:
     learning_rate: float = 5e-3
     discount: float = 0.97
     baseline_decay: float = 0.8
-    entropy_weight: float = 0.0
     batch_episodes: int = 1
     max_grad_norm: float = 10.0
 
@@ -112,13 +111,6 @@ class PolicyGradientTrainer:
             self.controller.accumulate_log_prob_gradient(
                 sample, [-c / len(batch) for c in coefficients]
             )
-            if self.config.entropy_weight > 0:
-                # Encourage exploration by also ascending the entropy: reuse the
-                # log-prob gradient direction scaled by the entropy weight.
-                self.controller.accumulate_log_prob_gradient(
-                    sample,
-                    [self.config.entropy_weight / len(batch)] * sample.num_steps,
-                )
         self._optimizer.step()
 
     def _step_coefficients(self, sample: ControllerSample, advantage: float) -> List[float]:
