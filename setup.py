@@ -40,7 +40,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     install_requires=["numpy>=1.22"],
-    extras_require={"test": ["pytest", "pytest-benchmark"]},
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
     entry_points={
         "console_scripts": [
             "repro-search=repro.api.cli:main",
