@@ -36,6 +36,8 @@ def cached_method(method: Callable[..., _T]) -> Callable[..., _T]:
     a method.  It is not a field, so ``==``, ``hash``, ``repr`` and
     :func:`dataclasses.asdict` never see it; :func:`dataclasses.replace`
     builds a new instance, which computes its own; ``pickle`` carries it.
+    Two threads calling first at once may both compute; they store equal
+    values.
     """
     slot = f"_cached_{method.__name__}"
 

@@ -240,8 +240,7 @@ class LSTMController:
         hidden = self.hidden_size
         dh_next = np.zeros(hidden)
         dc_next = np.zeros(hidden)
-        # Every step's LSTM weight gradient is written into this one buffer.
-        outer = np.empty_like(self.lstm_weight.data)
+        outer = np.empty_like(self.lstm_weight.data)  # reused by every step
         for t in reversed(range(len(sample.steps))):
             cache = sample.steps[t]
             coeff = float(step_coefficients[t])
@@ -315,7 +314,7 @@ def _draw(probs: np.ndarray, generator: np.random.Generator) -> int:
     These are the steps ``Generator.choice`` itself takes for one draw with
     replacement: the same cumulative sum, normalisation, single ``random()``
     and right-sided search.  So the draw picks the same index and leaves the
-    generator in the same state, at a third of the cost.  ``choice``'s
+    generator in the same state, in about a third of the time.  ``choice``'s
     refusal of NaN probabilities is kept; its other checks (negative entries,
     a sum away from 1) cannot fail on a softmax.
     """

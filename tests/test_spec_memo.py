@@ -74,9 +74,8 @@ def _decisions(producer, child):
 
 
 def test_registered_zoo_keys_are_unchanged():
-    assert {name: get_architecture(name).cache_key() for name in list_architectures()} == (
-        ZOO_KEYS
-    )
+    keys = {name: get_architecture(name).cache_key() for name in list_architectures()}
+    assert keys == ZOO_KEYS
 
 
 def test_producer_child_key_is_unchanged(producer):
