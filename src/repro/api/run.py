@@ -26,7 +26,7 @@ from repro.api.registry import get_strategy
 from repro.api.spec import RunSpec
 from repro.core.fahana import FaHaNaResult
 from repro.data.dataset import GroupedDataset
-from repro.engine.checkpoint import CHECKPOINT_JSON
+from repro.engine.checkpoint import CHECKPOINT_JOURNAL
 from repro.engine.engine import (
     EngineConfig,
     SearchEngine,
@@ -233,7 +233,7 @@ def run(
     if run_dir is not None:
         if spec_describes_run:
             spec_path = resolved.to_file(os.path.join(run_dir, RUN_SPEC_JSON))
-        checkpoint_path = os.path.join(run_dir, CHECKPOINT_JSON)
+        checkpoint_path = os.path.join(run_dir, CHECKPOINT_JOURNAL)
         if engine_config.telemetry:
             telemetry_path = os.path.join(run_dir, "telemetry.jsonl")
 

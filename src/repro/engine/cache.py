@@ -229,6 +229,10 @@ class EvaluationCache:
         self._m_entries.set(len(self._entries))
 
     # -- checkpointing ------------------------------------------------------------
+    def items(self) -> List[Tuple[str, EvaluationResult]]:
+        """The in-memory ``(key, result)`` pairs in LRU order (oldest first)."""
+        return list(self._entries.items())
+
     def snapshot(self) -> List[Tuple[str, Dict[str, Any]]]:
         """The in-memory entries in LRU order (oldest first), JSON-encodable."""
         return [(key, result_to_dict(result)) for key, result in self._entries.items()]

@@ -1,19 +1,41 @@
-"""Checkpoint/resume for engine-driven searches.
+"""Checkpoint/resume for engine-driven searches: an append-only wave journal.
 
 A checkpoint captures everything a search needs to continue bit-for-bit from
-a batch boundary:
+a batch boundary: the controller weights and the Adam moment estimates of
+the policy trainer, the reward baseline and Adam step, both RNG streams
+(controller sampling and child weight initialisation), the full
+:class:`~repro.core.results.SearchHistory`, the in-memory evaluation-cache
+entries in LRU order and the next episode index.  A run directory holds it
+in two kinds of file:
 
-* controller weights and the Adam moment estimates of the policy trainer
-  (``checkpoint.npz``, an uncompressed numpy archive),
-* the reward baseline, both RNG streams (controller sampling and child
-  weight initialisation), the full :class:`~repro.core.results.SearchHistory`,
-  the in-memory evaluation-cache entries and the next episode index
-  (``checkpoint.json``, compact one-line JSON with sorted keys).
+* ``checkpoint.jsonl``, the journal, one line per checkpoint.  A line is
+  compact JSON with sorted keys, a tab, and the CRC-32 of that JSON.  The
+  first save of an engine (fresh or resumed) replaces the file with one
+  *base* line that holds every record and cache entry.  Every later save
+  appends a *delta* line: the records appended and the cache entries
+  inserted since the previous line, the cache's key order, and the full
+  scalar state.  A line's size depends on the wave and the cache capacity,
+  never on the episode index.
+* ``checkpoint-<sha256>.state``, the controller weights and Adam moments as
+  raw bytes in parameter order, named by the sha256 of those bytes.  The
+  line records that name and each array's dtype and shape.  A save whose
+  arrays did not change since the previous line writes no state file.
 
-A checkpoint re-serialises the whole history and cache, so both files are
-written by single C-level calls (``np.savez``, ``json.dumps``) rather than
-per-value Python passes.  Checkpoints written with indented JSON and a
-compressed archive load the same way.
+A save writes in an order that leaves a resumable run wherever the process
+dies: first the state file (atomically, then the directory is fsynced),
+then the line that names it (fsynced), and only then the deletion of the
+state file the previous line named.  A :class:`JournalCursor` records what
+an engine's journal already holds; it advances once the line is written.
+Every file operation goes through :func:`_replace`, :func:`_append`,
+:func:`_fsync` or :func:`_unlink`, so a crash test can interpose on each.
+
+Loading stops at the first line that does not parse or whose checksum does
+not match (a torn tail), and checks the state file that the last valid line
+names against its name.  A missing or mismatched state file is an error,
+never a silent fresh start.  Run directories written before the journal
+hold a version-1 pair, ``checkpoint.json`` (compact or indented) and
+``checkpoint.npz`` (plain or compressed).  :func:`load_checkpoint` reads the
+pair when no journal is present, and the next save replaces it.
 
 Checkpoints embed the engine's evaluation-context fingerprint; restoring
 into a search with a different dataset / reward / training configuration is
@@ -22,28 +44,39 @@ refused rather than silently producing a diverged run.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
+import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.controller import LSTMController
+from repro.core.evaluator import EvaluationResult
 from repro.core.policy import PolicyGradientTrainer
 from repro.core.results import SearchHistory
 from repro.engine.cache import EvaluationCache
 from repro.engine.serde import (
     history_from_dict,
-    history_to_dict,
+    history_meta_to_dict,
+    record_to_dict,
+    result_to_dict,
     rng_state_from_dict,
     rng_state_to_dict,
 )
-from repro.utils.serialization import load_json, load_state_dict
+from repro.utils.serialization import atomic_write_bytes, load_json, load_state_dict
 
-CHECKPOINT_JSON = "checkpoint.json"
-CHECKPOINT_NPZ = "checkpoint.npz"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_JOURNAL = "checkpoint.jsonl"
+JOURNAL_VERSION = 2
+STATE_PREFIX = "checkpoint-"
+STATE_SUFFIX = ".state"
+# The version-1 pair, read when a run directory holds no journal.
+LEGACY_JSON = "checkpoint.json"
+LEGACY_NPZ = "checkpoint.npz"
+LEGACY_VERSION = 1
 
 
 @dataclass
@@ -60,18 +93,55 @@ class EngineCheckpoint:
     arrays: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
 
-def checkpoint_paths(run_dir: str) -> Tuple[str, str]:
-    """The (json, npz) file pair of a run directory's checkpoint."""
-    return (
-        os.path.join(run_dir, CHECKPOINT_JSON),
-        os.path.join(run_dir, CHECKPOINT_NPZ),
-    )
+@dataclass
+class JournalCursor:
+    """What an engine's journal already holds.
+
+    A cursor that has written nothing, or that last wrote another journal,
+    makes the next save write a base line.  Cache entries are compared by
+    identity: a result object is never changed once it is cached.
+    """
+
+    journal: Optional[str] = None
+    records: int = 0
+    cache: Dict[str, EvaluationResult] = field(default_factory=dict)
+    state: Optional[str] = None
+
+
+def checkpoint_paths(run_dir: str) -> List[str]:
+    """The journal, then the state files, present in ``run_dir``.
+
+    A directory listing only: no file is opened.
+    """
+    try:
+        names = os.listdir(run_dir)
+    except FileNotFoundError:
+        return []
+    journal = [CHECKPOINT_JOURNAL] if CHECKPOINT_JOURNAL in names else []
+    states = sorted(name for name in names if _is_state_file(name))
+    return [os.path.join(run_dir, name) for name in journal + states]
 
 
 def has_checkpoint(run_dir: str) -> bool:
-    """True when ``run_dir`` holds a complete checkpoint pair."""
-    json_path, npz_path = checkpoint_paths(run_dir)
-    return os.path.exists(json_path) and os.path.exists(npz_path)
+    """True when ``run_dir`` holds a journal with a valid line, or a
+    version-1 pair."""
+    if next(_journal_lines(run_dir), None) is not None:
+        return True
+    return all(
+        os.path.exists(os.path.join(run_dir, name)) for name in (LEGACY_JSON, LEGACY_NPZ)
+    )
+
+
+def _is_state_file(name: str) -> bool:
+    return name.startswith(STATE_PREFIX) and name.endswith(STATE_SUFFIX)
+
+
+def _state_name(data: bytes) -> str:
+    return f"{STATE_PREFIX}{hashlib.sha256(data).hexdigest()}{STATE_SUFFIX}"
+
+
+def _checksum(text: bytes) -> bytes:
+    return b"%08x" % zlib.crc32(text)
 
 
 def _json_scalar(value: Any) -> Any:
@@ -81,6 +151,34 @@ def _json_scalar(value: Any) -> Any:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+# -- file operations: every write, fsync, rename and unlink of a save ----------------
+def _replace(path: str, data: bytes) -> None:
+    """Replace ``path`` with ``data`` atomically (temp file, fsync, rename)."""
+    atomic_write_bytes(path, data)
+
+
+def _append(path: str, data: bytes) -> None:
+    with open(path, "ab") as handle:
+        handle.write(data)
+
+
+def _fsync(path: str) -> None:
+    """Flush a file's data, or a directory's entries, to stable storage."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
+# -- writing --------------------------------------------------------------------------
 def save_checkpoint(
     run_dir: str,
     *,
@@ -92,55 +190,173 @@ def save_checkpoint(
     child_rng: np.random.Generator,
     history: SearchHistory,
     cache: Optional[EvaluationCache] = None,
+    cursor: Optional[JournalCursor] = None,
 ) -> str:
-    """Write a checkpoint under ``run_dir`` and return the JSON path.
+    """Journal a checkpoint under ``run_dir`` and return the journal's path.
 
-    Must be called at a batch boundary (no pending policy-gradient episodes);
-    :meth:`PolicyGradientTrainer.state_dict` enforces this.
+    With a ``cursor`` that holds this journal, appends one delta line and
+    advances the cursor; otherwise (no cursor, or its first save) replaces
+    the journal with a base line.  Must be called at a batch boundary (no
+    pending policy-gradient episodes); :meth:`PolicyGradientTrainer.state_dict`
+    enforces this.
     """
     policy_state = policy_trainer.state_dict()
-    arrays: Dict[str, np.ndarray] = {}
-    for param in controller.parameters():
-        arrays[f"param__{param.name}"] = param.data
-    for index, (m, v) in enumerate(
-        zip(policy_state["optimizer"]["m"], policy_state["optimizer"]["v"])
-    ):
-        arrays[f"adam_m__{index}"] = m
-        arrays[f"adam_v__{index}"] = v
+    optimizer = policy_state["optimizer"]
+    arrays = [(f"param__{param.name}", param.data) for param in controller.parameters()]
+    arrays += [(f"adam_m__{index}", m) for index, m in enumerate(optimizer["m"])]
+    arrays += [(f"adam_v__{index}", v) for index, v in enumerate(optimizer["v"])]
+    state = b"".join(np.ascontiguousarray(array) for _, array in arrays)
+    state_name = _state_name(state)
 
-    payload = {
-        "version": CHECKPOINT_VERSION,
+    journal = os.path.join(run_dir, CHECKPOINT_JOURNAL)
+    cursor = cursor if cursor is not None else JournalCursor()
+    base = cursor.journal != journal
+    held_records = 0 if base else cursor.records
+    held_cache: Dict[str, EvaluationResult] = {} if base else cursor.cache
+    held_state = None if base else cursor.state
+    entries = cache.items() if cache is not None else []
+    line = {
+        "version": JOURNAL_VERSION,
         "next_episode": next_episode,
         "context_key": context_key,
         "baseline": policy_state["baseline"],
-        "adam_step": policy_state["optimizer"]["step"],
+        "adam_step": optimizer["step"],
         "rng": {
             "sample": rng_state_to_dict(sample_rng),
             "child": rng_state_to_dict(child_rng),
         },
-        "history": history_to_dict(history),
-        "cache": cache.snapshot() if cache is not None else [],
+        "history": history_meta_to_dict(history),
+        "records": [record_to_dict(record) for record in history.records[held_records:]],
+        "cache": [
+            [key, result_to_dict(result)]
+            for key, result in entries
+            if held_cache.get(key) is not result
+        ],
+        "cache_order": [key for key, _ in entries],
+        "state": {
+            "name": state_name,
+            "layout": [[key, array.dtype.str, list(array.shape)] for key, array in arrays],
+        },
     }
-    text = json.dumps(payload, sort_keys=True, default=_json_scalar)
-    json_path, npz_path = checkpoint_paths(run_dir)
+    text = json.dumps(line, sort_keys=True, default=_json_scalar).encode("utf-8")
+    data = text + b"\t" + _checksum(text) + b"\n"
+
     os.makedirs(run_dir, exist_ok=True)
-    np.savez(npz_path, **arrays)
-    with open(json_path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    return json_path
+    try:
+        if state_name != held_state:
+            _replace(os.path.join(run_dir, state_name), state)
+            _fsync(run_dir)
+        if base:
+            _replace(journal, data)
+            _fsync(run_dir)
+        else:
+            _append(journal, data)
+            _fsync(journal)
+    except BaseException:
+        # A failed append may have left part of a line: start the journal over.
+        cursor.journal = None
+        raise
+    cursor.journal = journal
+    cursor.records = len(history.records)
+    cursor.cache = dict(entries)
+    cursor.state = state_name
+    if base:
+        _sweep(run_dir, keep=state_name)
+    elif held_state not in (None, state_name):
+        _unlink(os.path.join(run_dir, held_state))
+    return journal
+
+
+def _sweep(run_dir: str, keep: str) -> None:
+    """Delete what a base line supersedes: other state files, a version-1
+    pair, and temp files that interrupted writes left behind."""
+    for name in os.listdir(run_dir):
+        if (
+            name in (LEGACY_JSON, LEGACY_NPZ)
+            or (_is_state_file(name) and name != keep)
+            or (name.startswith(".checkpoint") and name.endswith(".tmp"))
+        ):
+            _unlink(os.path.join(run_dir, name))
+
+
+# -- reading --------------------------------------------------------------------------
+def _journal_lines(run_dir: str) -> Iterator[Dict[str, Any]]:
+    """The journal's lines, parsed, up to the first torn or corrupt one."""
+    try:
+        with open(os.path.join(run_dir, CHECKPOINT_JOURNAL), "rb") as handle:
+            data = handle.read()
+    except FileNotFoundError:
+        return
+    for raw in data.split(b"\n"):
+        text, tab, checksum = raw.rpartition(b"\t")
+        if not tab or checksum != _checksum(text):
+            return
+        try:
+            line = json.loads(text)
+        except ValueError:
+            return
+        yield line
 
 
 def load_checkpoint(run_dir: str) -> EngineCheckpoint:
     """Read and parse the checkpoint stored under ``run_dir``."""
-    json_path, npz_path = checkpoint_paths(run_dir)
+    lines = list(_journal_lines(run_dir))
+    if not lines:
+        return _load_legacy(run_dir)
+    records: List[Dict[str, Any]] = []
+    values: Dict[str, Dict[str, Any]] = {}
+    for line in lines:
+        version = int(line.get("version", -1))
+        if version != JOURNAL_VERSION:
+            raise ValueError(
+                f"checkpoint journal version {version} is not supported "
+                f"(expected {JOURNAL_VERSION})"
+            )
+        records.extend(line["records"])
+        values.update(line["cache"])
+    last = lines[-1]
+    return EngineCheckpoint(
+        next_episode=int(last["next_episode"]),
+        context_key=str(last["context_key"]),
+        baseline=last["baseline"],
+        adam_step=int(last["adam_step"]),
+        rng_states=last["rng"],
+        history=history_from_dict({**last["history"], "records": records}),
+        cache_entries=[(key, values[key]) for key in last["cache_order"]],
+        arrays=_read_state(run_dir, last["state"]),
+    )
+
+
+def _read_state(run_dir: str, state: Dict[str, Any]) -> Dict[str, np.ndarray]:
+    """The arrays of the state file a line names, checked against its name."""
+    name = state["name"]
+    with open(os.path.join(run_dir, name), "rb") as handle:
+        data = bytearray(handle.read())
+    if _state_name(data) != name:
+        raise ValueError(f"checkpoint state file {name!r} does not match its name")
+    arrays: Dict[str, np.ndarray] = {}
+    offset = 0
+    for key, dtype, shape in state["layout"]:
+        count = math.prod(shape)
+        arrays[key] = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shape)
+        offset += arrays[key].nbytes
+    if offset != len(data):
+        raise ValueError(f"checkpoint state file {name!r} does not match its layout")
+    return arrays
+
+
+def _load_legacy(run_dir: str) -> EngineCheckpoint:
+    """Read a version-1 pair: ``checkpoint.json`` and ``checkpoint.npz``."""
+    json_path = os.path.join(run_dir, LEGACY_JSON)
+    npz_path = os.path.join(run_dir, LEGACY_NPZ)
     if not os.path.exists(json_path) or not os.path.exists(npz_path):
         raise FileNotFoundError(f"no checkpoint found under {run_dir!r}")
     payload = load_json(json_path)
     version = int(payload.get("version", -1))
-    if version != CHECKPOINT_VERSION:
+    if version != LEGACY_VERSION:
         raise ValueError(
             f"checkpoint version {version} is not supported "
-            f"(expected {CHECKPOINT_VERSION})"
+            f"(expected {LEGACY_VERSION})"
         )
     return EngineCheckpoint(
         next_episode=int(payload["next_episode"]),

@@ -306,6 +306,8 @@ class SearchEngine:
         self._restored_history: Optional[SearchHistory] = None
         self._restored_seconds = 0.0
         self._next_episode = 0
+        # What the run directory's checkpoint journal holds (see run()).
+        self._journal = checkpoint_io.JournalCursor()
         self._telemetry: Optional[JsonlTelemetry] = None
         if self.config.run_dir is not None:
             os.makedirs(self.config.run_dir, exist_ok=True)
@@ -533,6 +535,7 @@ class SearchEngine:
             child_rng=self.search._child_rng,
             history=history,
             cache=self.cache,
+            cursor=self._journal,
         )
         self.checkpoints_written += 1
         self._emit(
@@ -661,6 +664,9 @@ class SearchEngine:
         start = time.perf_counter()
         start_episode = self._next_episode
         episodes_since_checkpoint = 0
+        # A run's first checkpoint writes the journal anew, dropping any torn
+        # tail a killed run left; later ones append what changed.
+        self._journal = checkpoint_io.JournalCursor()
         shared = (
             search.evaluator
             if self.config.backend == "process" and self.config.share_evaluator

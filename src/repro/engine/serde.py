@@ -1,7 +1,7 @@
 """JSON round-trips for the engine's persisted objects.
 
-Checkpoints and the on-disk evaluation cache store plain JSON (plus one npz
-archive for weight arrays), so every object that crosses the persistence
+Checkpoints and the on-disk evaluation cache store plain JSON (plus raw
+array bytes for weights), so every object that crosses the persistence
 boundary -- descriptors, evaluation results, episode records, search
 histories and numpy RNG states -- gets an explicit ``*_to_dict`` /
 ``*_from_dict`` pair here.  Keeping the converters together (rather than as
@@ -123,14 +123,21 @@ def record_from_dict(payload: Dict[str, Any]) -> EpisodeRecord:
     )
 
 
-def history_to_dict(history: SearchHistory) -> Dict[str, Any]:
-    """Flatten a search history (metadata plus every record)."""
+def history_meta_to_dict(history: SearchHistory) -> Dict[str, Any]:
+    """A search history's metadata: everything but its records."""
     return {
         "space_size": history.space_size,
         "full_space_size": history.full_space_size,
         "total_seconds": history.total_seconds,
         "frozen_blocks": history.frozen_blocks,
         "searchable_blocks": history.searchable_blocks,
+    }
+
+
+def history_to_dict(history: SearchHistory) -> Dict[str, Any]:
+    """Flatten a search history (metadata plus every record)."""
+    return {
+        **history_meta_to_dict(history),
         "records": [record_to_dict(record) for record in history.records],
     }
 

@@ -52,7 +52,12 @@ def save_json(path: str, payload: Any) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Durably replace ``path`` with ``text``; never torn, never clobbered by
+    """Durably replace ``path`` with ``text`` (UTF-8); see :func:`atomic_write_bytes`."""
+    atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Durably replace ``path`` with ``data``; never torn, never clobbered by
     a concurrent writer.
 
     The temp file comes from ``mkstemp`` *in the destination directory* --
@@ -68,8 +73,8 @@ def atomic_write_text(path: str, text: str) -> None:
         dir=directory, prefix=f".{os.path.basename(path)}.", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import os
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -32,12 +33,14 @@ from repro.engine import (
     set_default_engine_config,
 )
 from repro.engine.cache import SharedCacheTier
-from repro.engine.checkpoint import checkpoint_paths
+from repro.engine.checkpoint import CHECKPOINT_JOURNAL, checkpoint_paths
 from repro.engine.serde import (
     descriptor_from_dict,
     descriptor_to_dict,
+    history_to_dict,
     record_to_dict,
     result_to_dict,
+    rng_state_to_dict,
 )
 from repro.hardware.constraints import DesignSpec, HardwareSpec, SoftwareSpec
 from repro.nn.trainer import TrainingConfig
@@ -729,6 +732,50 @@ class TestOneWavePath:
         assert sum(span["name"] == "stage:full" for span in spans) == self.episodes // 2
 
 
+def _save_version_1(
+    run_dir,
+    *,
+    next_episode,
+    context_key,
+    controller,
+    policy_trainer,
+    sample_rng,
+    child_rng,
+    history,
+    cache=None,
+):
+    """The version-1 checkpoint writer, kept inline: ``checkpoint.npz`` holds
+    the controller weights and Adam moments, ``checkpoint.json`` everything
+    else as compact JSON."""
+    policy_state = policy_trainer.state_dict()
+    arrays = {}
+    for param in controller.parameters():
+        arrays[f"param__{param.name}"] = param.data
+    for index, (m, v) in enumerate(
+        zip(policy_state["optimizer"]["m"], policy_state["optimizer"]["v"])
+    ):
+        arrays[f"adam_m__{index}"] = m
+        arrays[f"adam_v__{index}"] = v
+    payload = {
+        "version": 1,
+        "next_episode": next_episode,
+        "context_key": context_key,
+        "baseline": policy_state["baseline"],
+        "adam_step": policy_state["optimizer"]["step"],
+        "rng": {
+            "sample": rng_state_to_dict(sample_rng),
+            "child": rng_state_to_dict(child_rng),
+        },
+        "history": history_to_dict(history),
+        "cache": cache.snapshot() if cache is not None else [],
+    }
+    text = json.dumps(payload, sort_keys=True, default=lambda value: value.tolist())
+    os.makedirs(run_dir, exist_ok=True)
+    np.savez(os.path.join(run_dir, "checkpoint.npz"), **arrays)
+    with open(os.path.join(run_dir, "checkpoint.json"), "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
 class TestCheckpointResume:
     def test_resume_matches_uninterrupted_run(self, tiny_splits, tiny_backbone, tmp_path):
         run_dir = str(tmp_path / "run")
@@ -850,15 +897,26 @@ class TestCheckpointResume:
         assert type(entry["meets_timing"]) is bool
 
     def test_checkpoint_is_compact_json(self, tiny_splits, tiny_backbone, tmp_path):
+        # Every journal line is one compact JSON object, a tab and its CRC-32.
         run_dir = str(tmp_path / "run")
         SearchEngine(
-            _search(tiny_splits, tiny_backbone, 2), EngineConfig(run_dir=run_dir)
+            _search(tiny_splits, tiny_backbone, 2),
+            EngineConfig(run_dir=run_dir, checkpoint_every=1),
         ).run()
-        json_path, _ = checkpoint_paths(run_dir)
-        with open(json_path, encoding="utf-8") as handle:
-            text = handle.read()
-        assert "\n" not in text
-        assert json.loads(text)["next_episode"] == 2
+        journal, state = checkpoint_paths(run_dir)
+        assert os.path.basename(journal) == CHECKPOINT_JOURNAL
+        assert os.path.basename(state).endswith(".state")
+        with open(journal, "rb") as handle:
+            lines = handle.read().split(b"\n")
+        assert lines.pop() == b""
+        payloads = []
+        for line in lines:
+            text, tab, checksum = line.rpartition(b"\t")
+            assert tab and checksum == b"%08x" % zlib.crc32(text)
+            payload = json.loads(text)
+            assert text == json.dumps(payload, sort_keys=True).encode("ascii")
+            payloads.append(payload)
+        assert [payload["next_episode"] for payload in payloads] == [1, 2, 2]
 
     def test_legacy_checkpoint_resumes_bit_for_bit(
         self, tiny_splits, tiny_backbone, tmp_path
@@ -868,21 +926,38 @@ class TestCheckpointResume:
         uninterrupted = SearchEngine(uninterrupted_search, EngineConfig()).run()
 
         run_dir = str(tmp_path / "run")
-        SearchEngine(
-            _search(tiny_splits, tiny_backbone, total), EngineConfig(run_dir=run_dir)
-        ).run(cut)
+        cut_search = _search(tiny_splits, tiny_backbone, total)
+        cut_engine = SearchEngine(cut_search, EngineConfig())
+        cut_history = cut_engine.run(cut).history
+        _save_version_1(
+            run_dir,
+            next_episode=cut,
+            context_key=cut_engine.context_key,
+            controller=cut_search.controller,
+            policy_trainer=cut_search.policy_trainer,
+            sample_rng=cut_search._sample_rng,
+            child_rng=cut_search._child_rng,
+            history=cut_history,
+        )
         # Rewrite the pair in the earlier layout: indented JSON and a
         # compressed archive.
-        json_path, npz_path = checkpoint_paths(run_dir)
+        json_path = os.path.join(run_dir, "checkpoint.json")
+        npz_path = os.path.join(run_dir, "checkpoint.npz")
         save_json(json_path, load_json(json_path))
         np.savez_compressed(npz_path, **load_state_dict(npz_path))
         with open(json_path, encoding="utf-8") as handle:
             assert handle.read().startswith("{\n  ")
+        assert has_checkpoint(run_dir)
 
         resumed_search = _search(tiny_splits, tiny_backbone, total)
         resumed = SearchEngine.resume(
             resumed_search, EngineConfig(run_dir=run_dir)
         ).run(total)
+        # The resumed run's journal superseded the pair.
+        assert sorted(os.listdir(run_dir)) == sorted(
+            [os.path.basename(path) for path in checkpoint_paths(run_dir)]
+            + ["telemetry.jsonl"]
+        )
         assert (
             resumed.history.reward_trajectory()
             == uninterrupted.history.reward_trajectory()

@@ -256,7 +256,7 @@ class TestLocalLifecycle:
         # The registry archived everything needed to re-launch the run.
         run_dir = status["run_dir"]
         for artifact in ("run_spec.json", "status.json", "telemetry.jsonl",
-                         "report.json", "checkpoint.json"):
+                         "report.json", "checkpoint.jsonl"):
             assert os.path.exists(os.path.join(run_dir, artifact)), artifact
 
     def test_repro_run_emits_every_event_on_the_callers_thread(self):
