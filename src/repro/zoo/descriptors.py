@@ -284,7 +284,9 @@ class ArchitectureDescriptor:
                 last_out = new_blocks[-1].ch_in
             if head.ch_in != last_out:
                 head = HeadSpec(ch_in=last_out, ch_out=max(head.ch_out, last_out))
-        classifier = replace(self.classifier, ch_in=head.ch_out)
+        classifier = self.classifier
+        if classifier.ch_in != head.ch_out:
+            classifier = replace(classifier, ch_in=head.ch_out)
         return replace(
             self,
             name=name or self.name,

@@ -2,10 +2,11 @@
 
 ``cache_key()`` and ``param_count()`` of ``BlockSpec``, ``StemSpec``,
 ``HeadSpec``, ``ClassifierSpec`` and ``ArchitectureDescriptor`` are memoized
-on the instance.  A search's children share the backbone's frozen block specs
-and stem by identity, so keying or pricing a child computes only its searched
-blocks, head and classifier.  These tests pin that the memo does that work
-once, that every key stays what it was, and that nothing else sees it.
+on the instance.  A search's children share the backbone's frozen block
+specs, stem and (while the head's width is unchanged) classifier by
+identity, so keying or pricing a child computes only its searched blocks and
+head.  These tests pin that the memo does that work once, that every key
+stays what it was, and that nothing else sees it.
 """
 
 from __future__ import annotations
@@ -112,6 +113,12 @@ def test_keying_children_fingerprints_each_frozen_spec_once(producer, monkeypatc
         for spec in shared.values()
     )
     assert {payload: payloads[payload] for payload in expected} == expected
+
+
+def test_children_share_the_backbone_classifier(producer):
+    first, second = (producer.describe_child(_decisions(producer, k)) for k in (4, 5))
+    assert first.cache_key() != second.cache_key()
+    assert first.classifier is second.classifier is producer.backbone.classifier
 
 
 def test_pricing_twice_derives_each_block_op_costs_once(producer, tiny_splits, monkeypatch):
