@@ -13,9 +13,10 @@ in two kinds of file:
   first save of an engine (fresh or resumed) replaces the file with one
   *base* line that holds every record and cache entry.  Every later save
   appends a *delta* line: the records appended and the cache entries
-  inserted since the previous line, the cache's key order, and the full
-  scalar state.  A line's size depends on the wave and the cache capacity,
-  never on the episode index.
+  inserted since the previous line, the cache's key order as the keys
+  evicted and the keys moved or inserted since, and the full scalar state.
+  A line's size therefore depends on the wave, never on the episode index
+  or the size of the cache.
 * ``checkpoint-<sha256>.state``, the controller weights and Adam moments as
   raw bytes in parameter order, named by the sha256 of those bytes.  The
   line records that name and each array's dtype and shape.  A save whose
@@ -215,6 +216,7 @@ def save_checkpoint(
     held_cache: Dict[str, EvaluationResult] = {} if base else cursor.cache
     held_state = None if base else cursor.state
     entries = cache.items() if cache is not None else []
+    evicted, moved = _order_delta(list(held_cache), [key for key, _ in entries])
     line = {
         "version": JOURNAL_VERSION,
         "next_episode": next_episode,
@@ -232,7 +234,8 @@ def save_checkpoint(
             for key, result in entries
             if held_cache.get(key) is not result
         ],
-        "cache_order": [key for key, _ in entries],
+        "cache_evicted": evicted,
+        "cache_moved": moved,
         "state": {
             "name": state_name,
             "layout": [[key, array.dtype.str, list(array.shape)] for key, array in arrays],
@@ -265,6 +268,36 @@ def save_checkpoint(
     elif held_state not in (None, state_name):
         _unlink(os.path.join(run_dir, held_state))
     return journal
+
+
+def _order_delta(previous: List[str], order: List[str]) -> Tuple[List[str], List[str]]:
+    """``order`` relative to ``previous``: the keys evicted since, and the
+    suffix of ``order`` from its first key that is new or out of its old
+    place.  :func:`_apply_order_delta` rebuilds ``order`` from the two.
+
+    An LRU appends every key it inserts or touches at its end, so for an
+    LRU the suffix holds only keys touched since ``previous``: its length
+    follows the wave, not the cache size.
+    """
+    position = {key: index for index, key in enumerate(previous)}
+    split, last = 0, -1
+    for key in order:
+        index = position.get(key)
+        if index is None or index < last:
+            break
+        last = index
+        split += 1
+    present = set(order)
+    return [key for key in previous if key not in present], order[split:]
+
+
+def _apply_order_delta(
+    previous: List[str], evicted: List[str], moved: List[str]
+) -> List[str]:
+    """The order :func:`_order_delta` described: ``previous`` without the
+    evicted and moved keys, then the moved ones."""
+    gone = set(evicted).union(moved)
+    return [key for key in previous if key not in gone] + moved
 
 
 def _sweep(run_dir: str, keep: str) -> None:
@@ -305,6 +338,7 @@ def load_checkpoint(run_dir: str) -> EngineCheckpoint:
         return _load_legacy(run_dir)
     records: List[Dict[str, Any]] = []
     values: Dict[str, Dict[str, Any]] = {}
+    order: List[str] = []
     for line in lines:
         version = int(line.get("version", -1))
         if version != JOURNAL_VERSION:
@@ -314,6 +348,7 @@ def load_checkpoint(run_dir: str) -> EngineCheckpoint:
             )
         records.extend(line["records"])
         values.update(line["cache"])
+        order = _apply_order_delta(order, line["cache_evicted"], line["cache_moved"])
     last = lines[-1]
     return EngineCheckpoint(
         next_episode=int(last["next_episode"]),
@@ -322,7 +357,7 @@ def load_checkpoint(run_dir: str) -> EngineCheckpoint:
         adam_step=int(last["adam_step"]),
         rng_states=last["rng"],
         history=history_from_dict({**last["history"], "records": records}),
-        cache_entries=[(key, values[key]) for key in last["cache_order"]],
+        cache_entries=[(key, values[key]) for key in order],
         arrays=_read_state(run_dir, last["state"]),
     )
 

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import shutil
 import signal
 import tempfile
+import time
 import zlib
+from collections import OrderedDict
 
 import pytest
 
@@ -88,15 +91,12 @@ class TestJournalFormat:
                 range(previous, line["next_episode"])
             )
             previous = line["next_episode"]
-        # The base line holds the whole cache; a delta line only entries that
-        # are new since the previous line, each of them in the key order.
-        assert [key for key, _ in lines[0]["cache"]] == lines[0]["cache_order"]
-        for before, line in zip(lines, lines[1:]):
-            for key, _ in line["cache"]:
-                assert key in line["cache_order"]
-            assert set(line["cache_order"]) - set(before["cache_order"]) <= {
-                key for key, _ in line["cache"]
-            }
+        # The base line holds the whole cache in LRU order.  A later line's
+        # cache keys are at most those its own episodes touched (one each).
+        assert lines[0]["cache_moved"] == [key for key, _ in lines[0]["cache"]]
+        for line in lines:
+            assert len(line["cache_moved"]) <= len(line["records"])
+            assert len(line["cache"]) <= len(line["records"])
         # The final save changed no array, so it wrote no state file.
         assert lines[-1]["state"] == lines[-2]["state"]
         assert lines[-2]["state"] != lines[-3]["state"]
@@ -135,6 +135,29 @@ class TestJournalFormat:
             assert checkpoint_paths(copy) == [
                 os.path.join(copy, name) for name in [CHECKPOINT_JOURNAL, *states]
             ]
+
+    def test_the_order_delta_rebuilds_any_lru_order(self):
+        rng = random.Random(0)
+        for _ in range(500):
+            capacity = rng.randint(1, 6)
+            lru = OrderedDict()
+            previous = []
+            for _ in range(6):
+                for _ in range(rng.randint(0, 10)):
+                    key = f"k{rng.randint(0, 12)}"
+                    if rng.random() < 0.5:
+                        if key in lru:
+                            lru.move_to_end(key)
+                        continue
+                    lru[key] = None
+                    lru.move_to_end(key)
+                    while len(lru) > capacity:
+                        lru.popitem(last=False)
+                order = list(lru)
+                evicted, moved = checkpoint._order_delta(previous, order)
+                assert checkpoint._apply_order_delta(previous, evicted, moved) == order
+                assert not set(evicted) & set(order)
+                previous = order
 
     def test_a_torn_last_line_is_ignored(self, tiny_splits, tiny_backbone, tmp_path):
         _, _, run_dir, copies = _run_copying(tiny_splits, tiny_backbone, tmp_path, 8)
@@ -262,7 +285,16 @@ def _killed_run(start_engine, kill_at, torn):
             start_engine().run()
         finally:
             os._exit(3)
-    _, status = os.waitpid(pid, 0)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail(f"child still running at operation {kill_at} after 60 s")
+        time.sleep(0.002)
     assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL, (
         f"child was not killed at operation {kill_at} (status {status})"
     )
