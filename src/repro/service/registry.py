@@ -7,7 +7,8 @@ Layout (shared by the local executor, the HTTP daemon and the offline CLI)::
         run_spec.json       resolved spec incl. the effective engine section
         status.json         lifecycle state (atomic writes)
         telemetry.jsonl     event stream (JsonlTelemetry)
-        checkpoint.json/.npz engine checkpoint (resume / cancel-resume)
+        checkpoint.jsonl    engine checkpoint journal (resume / cancel-resume)
+        checkpoint-<sha256>.state  controller weights and Adam moments it names
         report.json         RunReport.to_dict() once the run finished
         cancel.requested    marker file: out-of-process cancellation request
 
