@@ -107,20 +107,6 @@ class TestJournalFormat:
         ]
         assert loaded.cache_entries == engine.cache.snapshot()
 
-    def test_lines_are_compact_sorted_json_and_a_checksum(
-        self, tiny_splits, tiny_backbone, tmp_path
-    ):
-        _, _, run_dir, _ = _run_copying(tiny_splits, tiny_backbone, tmp_path, 4)
-        raws = _journal_lines(run_dir)
-        assert len(raws) == 3
-        for raw in raws:
-            text, tab, checksum = raw.rpartition(b"\t")
-            assert tab and b"\t" not in text
-            assert checksum == b"%08x" % zlib.crc32(text)
-            payload = json.loads(text)
-            assert isinstance(payload, dict)
-            assert text == json.dumps(payload, sort_keys=True).encode("ascii")
-
     def test_every_save_leaves_the_journal_and_one_state_file(
         self, tiny_splits, tiny_backbone, tmp_path
     ):
