@@ -7,11 +7,9 @@ scale) through ``repro.run`` under different engine configurations:
   repository's original execution model,
 * the thread backend evaluating a whole policy batch concurrently,
 * a warm-cache replay, where every episode is served from the
-  content-addressed evaluation cache,
-* the process backend with and without the shared-evaluator worker
-  initializer (``EngineConfig.share_evaluator``), reporting how much
-  shipping the evaluator once per worker saves over re-pickling it per task,
-* the process backend with and without per-worker BLAS thread pinning
+  content-addressed evaluation cache through a store that a cold run filled,
+* the process backend, which ships the evaluator to each worker once,
+  with and without per-worker BLAS thread pinning
   (``EngineConfig.blas_threads_per_worker``): N worker processes x M BLAS
   threads oversubscribe the cores, so the initializer pins each worker to
   one BLAS thread by default and the delta is reported here,
@@ -30,12 +28,13 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 
 from conftest import run_once
 
 import repro
-from repro.engine import EngineConfig, EvaluationCache
+from repro.engine import EngineConfig
 from repro.experiments.common import prepare_data, search_spec
 
 EPISODES = 4
@@ -81,20 +80,12 @@ def test_bench_engine(benchmark, bench_preset):
         threaded, thread_seconds = _timed_run(
             spec, splits, EngineConfig(backend="thread", num_workers=2)
         )
-        cache = EvaluationCache(capacity=256)
-        _timed_run(spec, splits, EngineConfig(use_cache=True, cache=cache))
-        warm, warm_seconds = _timed_run(
-            spec, splits, EngineConfig(use_cache=True, cache=cache)
-        )
-        shared, shared_seconds = _timed_run(
-            spec,
-            splits,
-            EngineConfig(backend="process", num_workers=2, share_evaluator=True),
-        )
-        unshared, unshared_seconds = _timed_run(
-            spec,
-            splits,
-            EngineConfig(backend="process", num_workers=2, share_evaluator=False),
+        with tempfile.TemporaryDirectory() as store_root:
+            store = EngineConfig(store_root=store_root)
+            _timed_run(spec, splits, store)
+            warm, warm_seconds = _timed_run(spec, splits, store)
+        process, process_seconds = _timed_run(
+            spec, splits, EngineConfig(backend="process", num_workers=2)
         )
         unpinned, unpinned_seconds = _timed_run(
             spec,
@@ -111,15 +102,13 @@ def test_bench_engine(benchmark, bench_preset):
             "serial": serial,
             "threaded": threaded,
             "warm": warm,
-            "shared": shared,
-            "unshared": unshared,
+            "process": process,
             "unpinned": unpinned,
             "staged": staged,
             "serial_seconds": serial_seconds,
             "thread_seconds": thread_seconds,
             "warm_seconds": warm_seconds,
-            "shared_seconds": shared_seconds,
-            "unshared_seconds": unshared_seconds,
+            "process_seconds": process_seconds,
             "unpinned_seconds": unpinned_seconds,
             "staged_seconds": staged_seconds,
         }
@@ -129,8 +118,7 @@ def test_bench_engine(benchmark, bench_preset):
     # Backend independence: identical rewards regardless of execution backend.
     reference = outcome["serial"].history.reward_trajectory()
     assert outcome["threaded"].history.reward_trajectory() == reference
-    assert outcome["shared"].history.reward_trajectory() == reference
-    assert outcome["unshared"].history.reward_trajectory() == reference
+    assert outcome["process"].history.reward_trajectory() == reference
     # BLAS pinning changes scheduling, never results.
     assert outcome["unpinned"].history.reward_trajectory() == reference
     # A warm cache replays the search without a single training run.
@@ -149,13 +137,12 @@ def test_bench_engine(benchmark, bench_preset):
             "serial": outcome["serial_seconds"],
             "thread": outcome["thread_seconds"],
             "warm_cache": outcome["warm_seconds"],
-            "process_shared": outcome["shared_seconds"],
-            "process_unshared": outcome["unshared_seconds"],
+            "process": outcome["process_seconds"],
             "process_blas_unpinned": outcome["unpinned_seconds"],
             "multi_fidelity": outcome["staged_seconds"],
         },
         "blas_pinning_savings_seconds": outcome["unpinned_seconds"]
-        - outcome["shared_seconds"],
+        - outcome["process_seconds"],
         "thread_speedup": outcome["serial_seconds"]
         / max(outcome["thread_seconds"], 1e-9),
         "warm_cache_hit_rate": outcome["warm"].cache_hit_rate,
@@ -176,14 +163,11 @@ def test_bench_engine(benchmark, bench_preset):
         f"(hit rate {outcome['warm'].cache_hit_rate:.0%})"
     )
     print(
-        f"process backend: shared evaluator {outcome['shared_seconds']:.2f}s vs "
-        f"per-task pickling {outcome['unshared_seconds']:.2f}s "
-        f"(initializer saves "
-        f"{outcome['unshared_seconds'] - outcome['shared_seconds']:+.2f}s); "
-        f"BLAS pinned (1 thread/worker) {outcome['shared_seconds']:.2f}s vs "
+        f"process backend: BLAS pinned (1 thread/worker) "
+        f"{outcome['process_seconds']:.2f}s vs "
         f"unpinned {outcome['unpinned_seconds']:.2f}s "
         f"(pinning saves "
-        f"{outcome['unpinned_seconds'] - outcome['shared_seconds']:+.2f}s)"
+        f"{outcome['unpinned_seconds'] - outcome['process_seconds']:+.2f}s)"
     )
     print(
         f"multi-fidelity: {staged_full} full trainings vs {serial_full} "

@@ -33,7 +33,6 @@ import numpy as np
 from conftest import run_once
 
 from repro.api import DatasetSpec, DesignSpecConfig, RunSpec, SearchParams
-from repro.engine import set_default_engine_config
 from repro.nn.trainer import Trainer, TrainingConfig
 from repro.service import RunClient
 from repro.serving import ModelServer
@@ -76,14 +75,8 @@ def _spec() -> RunSpec:
 def _promote(root: str) -> ZooRegistry:
     runs_root = os.path.join(root, "runs")
     client = RunClient.local(runs_root=runs_root, max_workers=1)
-    # Registry-managed runs refuse the benchmark session's live shared cache
-    # (a process-local object cannot back resumable on-disk runs).
-    previous = set_default_engine_config(None)
-    try:
-        handle = client.submit(_spec())
-        handle.result(timeout=300)
-    finally:
-        set_default_engine_config(previous)
+    handle = client.submit(_spec())
+    handle.result(timeout=300)
     zoo = ZooRegistry(os.path.join(root, "zoo"))
     zoo.promote_run(runs_root, handle.run_id, name="bench")
     return zoo

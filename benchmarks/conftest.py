@@ -13,7 +13,6 @@ import dataclasses
 
 import pytest
 
-from repro.engine import EngineConfig, EvaluationCache, set_default_engine_config
 from repro.experiments.common import clear_caches
 from repro.experiments.presets import CI
 
@@ -47,28 +46,6 @@ def _clear_experiment_caches():
     clear_caches()
     yield
     clear_caches()
-
-
-@pytest.fixture(scope="session")
-def engine_cache() -> EvaluationCache:
-    """One evaluation cache shared by every search of the benchmark session."""
-    return EvaluationCache(capacity=2048)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _engine_memoization(engine_cache):
-    """Route every search through the engine with a shared evaluation cache.
-
-    Harnesses that run several searches over the same configuration (and the
-    searches themselves, when the controller re-samples a child) then skip
-    repeated training for free; the context fingerprint keeps runs with
-    different constraints or presets from cross-contaminating.
-    """
-    previous = set_default_engine_config(
-        EngineConfig(backend="serial", use_cache=True, cache=engine_cache)
-    )
-    yield
-    set_default_engine_config(previous)
 
 
 def run_once(benchmark, func, *args, **kwargs):

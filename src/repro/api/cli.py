@@ -41,7 +41,7 @@ from repro.api.registry import strategy_descriptions
 from repro.api.run import run as run_spec
 from repro.api.spec import RunSpec, spec_schema
 from repro.engine.checkpoint import has_checkpoint
-from repro.engine.engine import StopToken, resolve_engine_config
+from repro.engine.engine import EngineConfig, StopToken
 from repro.service.cli import SERVICE_COMMANDS, add_service_subparsers
 from repro.service.errors import RunNotFound, RunNotReady, ServiceError
 
@@ -149,9 +149,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     overrides = collect_overrides(args)
     if overrides:
         spec = spec.with_overrides(values=overrides).validate()
-    # What run() will execute on: an unset engine section resolves against
-    # the process-wide default and ultimately plain serial.
-    engine = resolve_engine_config(spec.engine)
+    engine = spec.engine or EngineConfig()  # what run() will execute on
     if args.resume and (
         engine.run_dir is None or not has_checkpoint(engine.run_dir)
     ):
@@ -212,16 +210,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if args.print_key:
         # The cache key fingerprints the computation (engine section
         # excluded), so two hosts can agree on shared cache entries without
-        # running anything; the resolved engine config shows what *this*
-        # process would execute with (spec section > process default > serial).
-        engine = resolve_engine_config(spec.engine)
+        # running anything; the resolved engine config shows what the run
+        # would execute with (the spec's section, else the defaults).
         payload = {
             "cache_key": spec.cache_key(),
-            "engine": {
-                f.name: getattr(engine, f.name)
-                for f in dataclasses.fields(engine)
-                if f.name != "cache"
-            },
+            "engine": dataclasses.asdict(spec.engine or EngineConfig()),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0

@@ -27,12 +27,7 @@ from repro.api.spec import RunSpec
 from repro.core.fahana import FaHaNaResult
 from repro.data.dataset import GroupedDataset
 from repro.engine.checkpoint import CHECKPOINT_JOURNAL
-from repro.engine.engine import (
-    EngineConfig,
-    SearchEngine,
-    StopToken,
-    resolve_engine_config,
-)
+from repro.engine.engine import EngineConfig, SearchEngine, StopToken
 from repro.engine.events import EngineEvent
 from repro.engine.serde import history_to_dict
 from repro.hardware.constraints import DesignSpec
@@ -143,20 +138,17 @@ def _resolve_spec(spec: SpecLike) -> RunSpec:
 def _resolve_engine_config(
     spec: RunSpec, explicit: Optional[EngineConfig]
 ) -> EngineConfig:
-    """Explicit override > spec.engine > process default > plain serial.
+    """The explicit override, else the spec's engine section, else defaults.
 
-    A spec with an engine section -- even an all-default one -- is honoured
-    verbatim; only a spec whose engine is unset (None) falls through to the
-    process-wide default.  Passing both an explicit engine *and* a spec
-    engine section is a conflict, so it raises instead of guessing which
-    one wins.
+    Passing both an explicit engine *and* a spec engine section is a
+    conflict, so it raises instead of guessing which one wins.
     """
     if explicit is not None and spec.engine is not None:
         raise ValueError(
             "engine configured twice: the spec's 'engine' section is set and "
             "an explicit EngineConfig was passed to run(); drop one of them"
         )
-    return resolve_engine_config(explicit if explicit is not None else spec.engine)
+    return explicit or spec.engine or EngineConfig()
 
 
 def run(
@@ -216,15 +208,8 @@ def run(
         resumed_from = search_engine.restore()
     result = search_engine.run(resolved.search.episodes)
 
-    # The archived spec records the *effective* engine configuration (a live
-    # cache object cannot be serialized, so it is dropped -- its contents are
-    # runtime state, not part of the run's description).
-    archival_engine = (
-        replace(engine_config, cache=None)
-        if engine_config.cache is not None
-        else engine_config
-    )
-    resolved = replace(resolved, engine=archival_engine)
+    # The archived spec records the *effective* engine configuration.
+    resolved = replace(resolved, engine=engine_config)
 
     run_dir = engine_config.run_dir
     spec_path = None

@@ -28,8 +28,7 @@ Sections:
   training hot path (``float32`` for ~2x throughput, ``float64`` -- the
   default -- for bit-for-bit seed parity) and the inference batch size,
 * ``engine``    -- :class:`~repro.engine.engine.EngineConfig`, reused
-  directly (the ``cache`` field, a live object, is not serializable; use
-  ``store_root`` in specs).
+  directly.
 
 ``evaluation``, ``compute`` and ``engine`` are the optional sections: absent
 sections stay None so "not specified" round-trips as unset.  Unlike the
@@ -57,10 +56,6 @@ from repro.utils.fingerprint import content_fingerprint
 from repro.utils.serialization import load_json, save_json
 
 SPEC_VERSION = 1
-
-# EngineConfig fields that hold live objects and therefore never cross the
-# serialization boundary (configure store_root for a shareable on-disk cache).
-_ENGINE_EXCLUDED_FIELDS = ("cache",)
 
 
 @dataclass(frozen=True)
@@ -225,13 +220,12 @@ _SECTIONS: Tuple[Tuple[str, type], ...] = ()  # filled in after RunSpec below
 class RunSpec:
     """One declarative, serializable description of a search run.
 
-    ``engine`` is Optional so "not specified" stays distinguishable from "an
-    explicit engine section that happens to spell out the defaults": None
-    resolves against the process-wide default engine config (and ultimately
-    plain serial), while a present section -- even an all-default one -- is
-    honoured verbatim.  ``evaluation`` is Optional for the analogous reason:
-    None is the seed evaluator's single full-fidelity pipeline, and a spec
-    that never mentions the section keeps its historical cache key.
+    ``engine`` is Optional so "not specified" round-trips as unset: None
+    runs on a default :class:`~repro.engine.engine.EngineConfig`, and only
+    an unset section may be overridden by ``repro.run(spec, engine=...)``.
+    ``evaluation`` is Optional too: None is the seed evaluator's single
+    full-fidelity pipeline, and a spec that never mentions the section
+    keeps its historical cache key.
     """
 
     strategy: str = "fahana"
@@ -269,15 +263,7 @@ class RunSpec:
         if self.compute is not None:
             payload["compute"] = _section_to_dict(self.compute)
         if self.engine is not None:
-            if self.engine.cache is not None:
-                raise ValueError(
-                    "engine.cache holds a live EvaluationCache object and "
-                    "cannot be serialized; configure engine.store_root (a "
-                    "local artifact store) in specs instead"
-                )
-            payload["engine"] = _section_to_dict(
-                self.engine, exclude=_ENGINE_EXCLUDED_FIELDS
-            )
+            payload["engine"] = _section_to_dict(self.engine)
         return payload
 
     @classmethod
@@ -304,11 +290,8 @@ class RunSpec:
                 continue  # absent optional sections stay None ("unset")
             section_payload = payload.get(name, {})
             if section_cls is EngineConfig:
-                section_payload = _without_null_cache_dir(section_payload)
-            exclude = _ENGINE_EXCLUDED_FIELDS if section_cls is EngineConfig else ()
-            kwargs[name] = _section_from_dict(
-                section_cls, section_payload, name, exclude=exclude
-            )
+                section_payload = _without_retired_engine_keys(section_payload)
+            kwargs[name] = _section_from_dict(section_cls, section_payload, name)
         spec = cls(**kwargs)
         return spec.validate()
 
@@ -429,8 +412,6 @@ def spec_schema() -> List[SpecField]:
         hints = get_type_hints(section_cls)
         defaults = section_cls()
         for spec_field in fields(section_cls):
-            if section_cls is EngineConfig and spec_field.name in _ENGINE_EXCLUDED_FIELDS:
-                continue
             if (section_cls, spec_field.name) in _NESTED_LIST_FIELDS:
                 continue  # lists of objects have no single-flag CLI form
             value_type, optional = _unwrap_hint(hints[spec_field.name])
@@ -449,11 +430,9 @@ def spec_schema() -> List[SpecField]:
 
 
 # -- helpers ------------------------------------------------------------------------
-def _section_to_dict(section: Any, exclude: Tuple[str, ...] = ()) -> Dict[str, Any]:
+def _section_to_dict(section: Any) -> Dict[str, Any]:
     payload: Dict[str, Any] = {}
     for f in fields(section):
-        if f.name in exclude:
-            continue
         value = getattr(section, f.name)
         if (type(section), f.name) in _NESTED_LIST_FIELDS:
             value = [_section_to_dict(entry) for entry in value]
@@ -461,21 +440,28 @@ def _section_to_dict(section: Any, exclude: Tuple[str, ...] = ()) -> Dict[str, A
     return payload
 
 
-def _without_null_cache_dir(engine: Any) -> Any:
-    """The engine section minus ``cache_dir``, a field older specs carry.
+# Engine fields older specs carry.  Every spec archived while the engine had
+# a JSON disk cache holds ``"cache_dir": null``, and one archived while the
+# process pool could re-pickle its evaluator per task holds
+# ``"share_evaluator"``, whose value never changed a result.
+_RETIRED_ENGINE_KEYS = ("cache_dir", "share_evaluator")
 
-    Every spec archived while the engine still had a JSON disk cache holds
-    ``"cache_dir": null``; dropping the null keeps those run directories
-    resumable.  A set directory is rejected, naming its replacement.
+
+def _without_retired_engine_keys(engine: Any) -> Any:
+    """The engine section minus retired keys, so archived runs stay resumable.
+
+    A set ``cache_dir`` is rejected, naming its replacement.
     """
-    if not isinstance(engine, dict) or "cache_dir" not in engine:
+    if not isinstance(engine, dict):
         return engine
-    if engine["cache_dir"] is not None:
+    if engine.get("cache_dir") is not None:
         raise ValueError(
             "engine.cache_dir is no longer supported; set engine.store_root "
             "(a local artifact store) to keep evaluations across restarts"
         )
-    return {key: value for key, value in engine.items() if key != "cache_dir"}
+    return {
+        key: value for key, value in engine.items() if key not in _RETIRED_ENGINE_KEYS
+    }
 
 
 def _reject_unknown(payload: Dict[str, Any], allowed: List[str], where: str) -> None:
@@ -487,19 +473,14 @@ def _reject_unknown(payload: Dict[str, Any], allowed: List[str], where: str) -> 
         )
 
 
-def _section_from_dict(
-    section_cls: Type[Any],
-    payload: Any,
-    section: str,
-    exclude: Tuple[str, ...] = (),
-) -> Any:
+def _section_from_dict(section_cls: Type[Any], payload: Any, section: str) -> Any:
     if not isinstance(payload, dict):
         raise ValueError(
             f"the {section!r} section must be a JSON object, "
             f"got {type(payload).__name__}"
         )
     hints = get_type_hints(section_cls)
-    allowed = [f.name for f in fields(section_cls) if f.name not in exclude]
+    allowed = [f.name for f in fields(section_cls)]
     _reject_unknown(payload, allowed, f"the {section!r} section")
     kwargs = {}
     for name in allowed:

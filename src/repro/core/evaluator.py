@@ -88,43 +88,17 @@ class ChildEvaluator:
         self.validation_dataset = validation_dataset
         self.latency_estimator = latency_estimator
         self.config = config or EvaluationConfig()
-        self._pipeline: Optional[EvaluationPipeline] = None
-        self._pipeline_config: Optional[EvaluationConfig] = None
-        self.pipeline  # build (and validate) the pipeline eagerly
-
-    @property
-    def pipeline(self) -> EvaluationPipeline:
-        """The evaluation pipeline for the current configuration.
-
-        Rebuilt transparently whenever ``config`` (or one of its fields) has
-        been replaced since the last use, so post-construction configuration
-        tweaks keep affecting evaluation exactly as they did when the
-        evaluator was a monolith.
-        """
-        snapshot = EvaluationConfig(
+        # Built (and validated) once: a different configuration takes a new
+        # evaluator, as MonasSearch builds one.
+        self.pipeline = EvaluationPipeline(
+            train_dataset=train_dataset,
+            validation_dataset=validation_dataset,
+            latency_estimator=latency_estimator,
             reward=self.config.reward,
             training=self.config.training,
+            settings=self.config.pipeline,
             bypass_invalid=self.config.bypass_invalid,
-            pipeline=self.config.pipeline,
         )
-        if self._pipeline is None or snapshot != self._pipeline_config:
-            self._pipeline = EvaluationPipeline(
-                train_dataset=self.train_dataset,
-                validation_dataset=self.validation_dataset,
-                latency_estimator=self.latency_estimator,
-                reward=snapshot.reward,
-                training=snapshot.training,
-                settings=snapshot.pipeline,
-                bypass_invalid=snapshot.bypass_invalid,
-            )
-            self._pipeline_config = snapshot
-        return self._pipeline
-
-    @property
-    def _trainer(self):
-        """The full-fidelity trainer (kept for callers of the old attribute)."""
-        pipeline = self.pipeline
-        return pipeline.trainer(pipeline.final_fidelity)
 
     def evaluate(self, child: ChildArchitecture) -> EvaluationResult:
         """Price, (conditionally) train and score one child network."""

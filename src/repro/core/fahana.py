@@ -63,9 +63,8 @@ class FaHaNaConfig:
     # Engine-level adaptive wave sizing: grow waves while episodes are cheap
     # (gate rejections, cache hits), shrink back once every episode trains.
     adaptive_wave: bool = False
-    # Execution knobs (backend, cache, checkpointing); None falls back to the
-    # process-wide default and ultimately to the plain serial engine, which
-    # matches the original sequential loop exactly.
+    # Execution knobs (backend, cache, checkpointing); None is the plain
+    # serial engine, which matches the original sequential loop exactly.
     engine: Optional["EngineConfig"] = None
 
     def __post_init__(self) -> None:
@@ -194,7 +193,7 @@ class FaHaNaSearch:
         evaluate -> observe loop, bit for bit.
         """
         # Imported lazily: the engine builds on core, not the other way round.
-        from repro.engine.engine import SearchEngine, resolve_engine_config
+        from repro.engine.engine import SearchEngine
 
-        engine = SearchEngine(self, config=resolve_engine_config(self.config.engine))
+        engine = SearchEngine(self, config=self.config.engine)
         return engine.run(episodes)

@@ -19,9 +19,6 @@ from repro.engine.engine import (
     EngineConfig,
     SearchEngine,
     StopToken,
-    get_default_engine_config,
-    resolve_engine_config,
-    set_default_engine_config,
 )
 from repro.engine.events import EngineEvent, EventBus, JsonlTelemetry
 from repro.engine.workers import (
@@ -42,9 +39,6 @@ __all__ = [
     "EngineConfig",
     "SearchEngine",
     "StopToken",
-    "get_default_engine_config",
-    "resolve_engine_config",
-    "set_default_engine_config",
     "EngineEvent",
     "EventBus",
     "JsonlTelemetry",

@@ -129,9 +129,6 @@ class EngineConfig:
     # batch size, which preserves exact sequential-loop semantics.
     batch_episodes: Optional[int] = None
     use_cache: bool = False
-    # A live cache object (in-process only; never serialized).  It keeps the
-    # tier it was built with, so it cannot be combined with a store below.
-    cache: Optional[EvaluationCache] = None
     cache_capacity: int = 1024
     # Shared artifact store (repro.store), the cache's only on-disk tier.
     # Either implies caching: a local store root keeps results across
@@ -145,9 +142,6 @@ class EngineConfig:
     # the last one (0 = only the final checkpoint, when run_dir is set).
     checkpoint_every: int = 0
     telemetry: bool = True
-    # Process backend only: ship the evaluator to each worker process once at
-    # pool startup (executor initializer) instead of re-pickling it per task.
-    share_evaluator: bool = True
     # Process backend only: BLAS/OpenMP threads *per worker process* (the
     # pool initializer pins OMP_NUM_THREADS/OPENBLAS_NUM_THREADS and the
     # OpenBLAS runtime).  N workers x M BLAS threads quickly oversubscribes
@@ -167,49 +161,14 @@ class EngineConfig:
             raise ValueError("checkpoint_every must be non-negative")
         if self.blas_threads_per_worker is not None and self.blas_threads_per_worker <= 0:
             raise ValueError("blas_threads_per_worker must be positive when given")
-        if self.cache is not None and (
-            self.store_root is not None or self.store_url is not None
-        ):
-            raise ValueError(
-                "a live cache cannot be combined with store_root or store_url; "
-                "give the store settings alone and the engine builds the cache"
-            )
 
     @property
     def caches(self) -> bool:
-        """Whether a run memoizes evaluations: a live cache, ``use_cache`` or
-        a store each give it an :class:`EvaluationCache`."""
-        return self.cache is not None or self.use_cache or any(
+        """Whether a run memoizes evaluations: ``use_cache`` or a store each
+        give it an :class:`EvaluationCache`."""
+        return self.use_cache or any(
             path is not None for path in (self.store_root, self.store_url)
         )
-
-
-# -- module-level default (installed by harnesses, e.g. the benchmark suite) -------
-_default_engine_config: Optional[EngineConfig] = None
-
-
-def set_default_engine_config(
-    config: Optional[EngineConfig],
-) -> Optional[EngineConfig]:
-    """Install a process-wide default engine config; returns the previous one."""
-    global _default_engine_config
-    previous = _default_engine_config
-    _default_engine_config = config  # repro-lint: disable=THR001 -- configured from the driving thread before workers start; single-name rebind is atomic under the GIL
-    return previous
-
-
-def get_default_engine_config() -> Optional[EngineConfig]:
-    """The currently installed process-wide default (None when unset)."""
-    return _default_engine_config
-
-
-def resolve_engine_config(explicit: Optional[EngineConfig] = None) -> EngineConfig:
-    """Pick the engine config: explicit > process default > plain serial."""
-    if explicit is not None:
-        return explicit
-    if _default_engine_config is not None:
-        return _default_engine_config
-    return EngineConfig()
 
 
 @dataclass
@@ -253,9 +212,9 @@ def _train_payload(
     The engine priced the child from its descriptor, then built it from the
     seed drawn at sampling when a rung first trained it; ``pricing`` travels
     with the task, so the worker never prices again.  ``evaluator`` is None
-    when the pool shipped it to the worker process once at startup
-    (``EngineConfig.share_evaluator``); it is then read back from the
-    worker's shared slot instead of travelling with every task.
+    when the process pool shipped it to the worker once at startup; it is
+    then read back from the worker's shared slot instead of travelling with
+    every task.
 
     ``initial_weights`` is the snapshot a multi-rung ladder takes when it
     builds the child; restoring it makes every rung train from the same
@@ -303,8 +262,9 @@ class SearchEngine:
         # Reward-plateau tracking (seeded from a restored history on resume).
         self._best_reward = float("-inf")
         self._best_episode = -1
-        self._restored_history: Optional[SearchHistory] = None
-        self._restored_seconds = 0.0
+        # The search so far, restored from a checkpoint or left by an earlier
+        # run() call; the next call appends to it.
+        self._history: Optional[SearchHistory] = None
         self._next_episode = 0
         # What the run directory's checkpoint journal holds (see run()).
         self._journal = checkpoint_io.JournalCursor()
@@ -358,8 +318,6 @@ class SearchEngine:
     # -- construction helpers -----------------------------------------------------
     def _build_cache(self) -> Optional[EvaluationCache]:
         config = self.config
-        if config.cache is not None:
-            return config.cache
         if config.caches:
             return EvaluationCache(
                 capacity=config.cache_capacity, tier=self._build_store_tier()
@@ -508,8 +466,9 @@ class SearchEngine:
             child_rng=self.search._child_rng,
             cache=self.cache,
         )
-        self._restored_history = history
-        self._restored_seconds = history.total_seconds
+        self._history = history
+        for record in history.records:
+            self._note_reward(record.episode, record.reward)
         self._next_episode = next_episode
         return next_episode
 
@@ -522,9 +481,8 @@ class SearchEngine:
         engine.restore()
         return engine
 
-    def _write_checkpoint(self, history: SearchHistory, elapsed: float) -> None:
+    def _write_checkpoint(self, history: SearchHistory) -> None:
         assert self.config.run_dir is not None
-        history.total_seconds = self._restored_seconds + elapsed
         path = checkpoint_io.save_checkpoint(
             self.config.run_dir,
             next_episode=self._next_episode,
@@ -637,17 +595,15 @@ class SearchEngine:
                 "fidelity is intended"
             )
 
-        if self._restored_history is not None:
-            history = self._restored_history
-            for record in history.records:
-                self._note_reward(record.episode, record.reward)
-        else:
-            history = SearchHistory(
+        if self._history is None:
+            self._history = SearchHistory(
                 space_size=search.producer.space_size(),
                 full_space_size=search.producer.full_space_size(),
                 frozen_blocks=search.producer.split_block,
                 searchable_blocks=len(search.producer.positions),
             )
+        history = self._history
+        seconds_before = history.total_seconds
         self._emit(
             RUN_STARTED,
             payload={
@@ -667,15 +623,10 @@ class SearchEngine:
         # A run's first checkpoint writes the journal anew, dropping any torn
         # tail a killed run left; later ones append what changed.
         self._journal = checkpoint_io.JournalCursor()
-        shared = (
-            search.evaluator
-            if self.config.backend == "process" and self.config.share_evaluator
-            else None
-        )
         pool = create_pool(
             self.config.backend,
             self.config.num_workers,
-            shared=shared,
+            shared=search.evaluator,
             blas_threads=self.config.blas_threads_per_worker,
             metrics=self.metrics,
             events=self.events.emit,
@@ -751,15 +702,18 @@ class SearchEngine:
                     and search.policy_trainer.pending_episodes == 0
                 ):
                     with self.tracer.span("checkpoint"):
-                        self._write_checkpoint(history, time.perf_counter() - start)
+                        history.total_seconds = (
+                            seconds_before + time.perf_counter() - start
+                        )
+                        self._write_checkpoint(history)
                     episodes_since_checkpoint = 0
         finally:
             pool.close()
 
         search.policy_trainer.apply_update()
-        history.total_seconds = self._restored_seconds + time.perf_counter() - start
+        history.total_seconds = seconds_before + time.perf_counter() - start
         if self.config.run_dir is not None:
-            self._write_checkpoint(history, time.perf_counter() - start)
+            self._write_checkpoint(history)
         self._emit(
             RUN_FINISHED,
             payload={

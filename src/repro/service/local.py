@@ -169,11 +169,6 @@ class LocalExecutor:
         # spec-vs-explicit conflict) and re-root it into the registry's run
         # directory, so the archived run_spec.json is resume-ready verbatim.
         engine_config = _resolve_engine_config(resolved, options.get("engine"))
-        if engine_config.cache is not None:
-            raise ValueError(
-                "a live cache object cannot back a registry-managed run; "
-                "configure engine.store_root (a local artifact store) instead"
-            )
         run_id = reg.new_run_id()
         registry = self.registry
         effective = replace(

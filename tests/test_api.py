@@ -32,7 +32,7 @@ from repro.api.cli import main as cli_main
 from repro.core.fahana import FaHaNaSearch
 from repro.data.dataset import DatasetSplits, stratified_split
 from repro.data.dermatology import DermatologyConfig, DermatologyGenerator
-from repro.engine import EngineConfig, EvaluationCache, create_pool
+from repro.engine import EngineConfig, create_pool
 from repro.engine.checkpoint import has_checkpoint, load_checkpoint
 from repro.engine.events import EPISODE_FINISHED, RUN_CANCELLED
 from repro.engine.workers import process_shared
@@ -103,10 +103,44 @@ class TestSpecSerialization:
         with pytest.raises(ValueError, match="unknown device"):
             RunSpec.from_dict({"design": {"device": "gameboy"}})
 
-    def test_live_cache_object_is_not_serializable(self):
-        spec = _tiny_spec(use_cache=True, cache=EvaluationCache(capacity=4))
-        with pytest.raises(ValueError, match="store_root"):
-            spec.to_dict()
+    def test_engine_section_is_plain_data(self):
+        # Every engine field is a spec leaf (so a CLI flag), and every one of
+        # them survives the round trip.
+        engine_paths = [leaf.path for leaf in spec_schema() if leaf.section == "engine"]
+        assert engine_paths == [
+            f"engine.{f.name}" for f in dataclasses.fields(EngineConfig)
+        ]
+        changed = {
+            "backend": "thread",
+            "num_workers": 3,
+            "batch_episodes": 2,
+            "use_cache": True,
+            "cache_capacity": 64,
+            "store_root": "store",
+            "store_url": "http://127.0.0.1:1",
+            "run_dir": "run",
+            "checkpoint_every": 4,
+            "telemetry": False,
+            "blas_threads_per_worker": 2,
+        }
+        assert set(changed) == {f.name for f in dataclasses.fields(EngineConfig)}
+        engine = EngineConfig(**changed)
+        for name, value in changed.items():
+            assert getattr(EngineConfig(), name) != value, name
+        spec = dataclasses.replace(_tiny_spec(), engine=engine)
+        assert RunSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+    @pytest.mark.parametrize("share_evaluator", [True, False])
+    def test_archived_share_evaluator_is_dropped(self, share_evaluator):
+        # Specs archived while the process pool could re-pickle its
+        # evaluator per task carry "share_evaluator"; whatever its value,
+        # they load as if the key were absent, next to "cache_dir": null.
+        payload = _tiny_spec(use_cache=True).to_dict()
+        archived = json.loads(json.dumps(payload))
+        archived["engine"]["share_evaluator"] = share_evaluator
+        assert RunSpec.from_dict(archived) == RunSpec.from_dict(payload)
+        archived["engine"]["cache_dir"] = None
+        assert RunSpec.from_dict(archived) == RunSpec.from_dict(payload)
 
     def test_archived_null_cache_dir_loads(self):
         # Specs archived while the engine had a JSON disk cache carry
@@ -159,7 +193,6 @@ class TestSpecSerialization:
         paths = [leaf.path for leaf in spec_schema()]
         assert "search.episodes" in paths and "engine.backend" in paths
         assert "compute.precision" in paths
-        assert "engine.cache" not in paths  # live objects never reach the schema
         assert "evaluation.max_parameters" in paths
         # Lists of objects have no single-flag CLI form.
         assert "evaluation.fidelities" not in paths
@@ -302,43 +335,25 @@ class TestRunFacade:
         assert report.checkpoint_path is not None  # checkpointing still works
 
     def test_archived_spec_records_effective_engine(self, tmp_path):
-        """An explicit engine= override (even with a live cache) is what the
-        run_dir archive describes, so the run re-launches from its artifacts."""
+        """An explicit engine= override is what the run_dir archive
+        describes, so the run re-launches from its artifacts."""
         run_dir = str(tmp_path / "run")
         spec = dataclasses.replace(_tiny_spec(), engine=None)
-        report = repro.run(
-            spec,
-            engine=EngineConfig(
-                backend="thread",
-                run_dir=run_dir,
-                use_cache=True,
-                cache=EvaluationCache(capacity=16),
-            ),
-        )
+        engine = EngineConfig(backend="thread", run_dir=run_dir, use_cache=True)
+        report = repro.run(spec, engine=engine)
         archived = RunSpec.from_file(report.spec_path)
-        assert archived.engine is not None
-        assert archived.engine.backend == "thread"
-        assert archived.engine.run_dir == run_dir
-        assert archived.engine.cache is None  # live object stripped, not crashed on
+        assert archived.engine == engine
+        assert archived == report.spec
 
-    def test_unset_engine_section_roundtrips_and_uses_process_default(self):
-        from repro.engine import set_default_engine_config
-
+    def test_unset_engine_section_roundtrips_and_runs_on_defaults(self):
         spec = dataclasses.replace(_tiny_spec(), engine=None)
         assert "engine" not in spec.to_dict()
         assert RunSpec.from_dict(spec.to_dict()).engine is None
 
-        # An unset section follows the process-wide default; an explicit
-        # all-default section is honoured verbatim (serial) regardless.
-        installed = EngineConfig(use_cache=True, cache=EvaluationCache(capacity=16))
-        previous = set_default_engine_config(installed)
-        try:
-            unset = repro.run(spec)
-            assert unset.engine.cache is installed.cache
-            explicit = repro.run(dataclasses.replace(spec, engine=EngineConfig()))
-            assert explicit.engine.cache is None
-        finally:
-            set_default_engine_config(previous)
+        # An unset section runs as EngineConfig(), which the report records.
+        unset = repro.run(spec)
+        assert unset.engine.config == EngineConfig()
+        assert unset.spec.engine == EngineConfig()
 
     def test_resume_through_facade(self, tmp_path):
         run_dir = str(tmp_path / "run")

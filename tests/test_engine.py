@@ -16,7 +16,7 @@ import repro
 from repro.api import RunSpec, SearchParams
 from repro.blocks.spec import BlockSpec, ClassifierSpec, StemSpec
 from repro.core import FaHaNaConfig, FaHaNaSearch, ProducerConfig
-from repro.core.evaluator import EvaluationResult
+from repro.core.evaluator import ChildEvaluator, EvaluationResult
 from repro.core.pipeline import FidelityConfig, PipelineSettings
 from repro.core.policy import PolicyGradientConfig
 from repro.core.results import EpisodeRecord, SearchHistory
@@ -28,9 +28,7 @@ from repro.engine import (
     create_pool,
     has_checkpoint,
     load_checkpoint,
-    resolve_engine_config,
     save_checkpoint,
-    set_default_engine_config,
 )
 from repro.engine.cache import SharedCacheTier
 from repro.engine.checkpoint import CHECKPOINT_JOURNAL, checkpoint_paths
@@ -250,6 +248,18 @@ def _spy_produce(search):
     return built
 
 
+def _set_bypass_invalid(search, bypass):
+    """Give ``search`` an evaluator that does (or does not) skip rejected
+    children, built the way MonasSearch builds its own."""
+    evaluator = search.evaluator
+    search.evaluator = ChildEvaluator(
+        train_dataset=evaluator.train_dataset,
+        validation_dataset=evaluator.validation_dataset,
+        latency_estimator=evaluator.latency_estimator,
+        config=dataclasses.replace(evaluator.config, bypass_invalid=bypass),
+    )
+
+
 def _duplicate_samples(search):
     """Make the controller propose its first sample over and over."""
     original = search.controller.sample
@@ -306,22 +316,16 @@ class TestEngineDeterminism:
 
 
 class TestEngineCache:
-    def test_warm_cache_skips_training(self, tiny_splits, tiny_backbone):
+    def test_warm_cache_skips_training(self, tiny_splits, tiny_backbone, tmp_path):
         episodes = 3
-        cache = EvaluationCache(capacity=64)
-        cold = SearchEngine(
-            _search(tiny_splits, tiny_backbone, episodes),
-            EngineConfig(use_cache=True, cache=cache),
-        )
+        config = EngineConfig(store_root=str(tmp_path / "store"))
+        cold = SearchEngine(_search(tiny_splits, tiny_backbone, episodes), config)
         cold_result = cold.run()
         assert cold.evaluations_run > 0
 
         # An identically seeded search replays the same descriptors: every
         # episode must come from the cache, with no training at all.
-        warm = SearchEngine(
-            _search(tiny_splits, tiny_backbone, episodes),
-            EngineConfig(use_cache=True, cache=cache),
-        )
+        warm = SearchEngine(_search(tiny_splits, tiny_backbone, episodes), config)
         warm_result = warm.run()
         assert warm.evaluations_run == 0
         assert all(record.cache_hit for record in warm_result.history.records)
@@ -333,16 +337,10 @@ class TestEngineCache:
         # Provenance: the cold run trained, the warm run did not re-train.
         assert any(r.trained and not r.cache_hit for r in cold_result.history.records)
 
-    def test_cache_events_emitted(self, tiny_splits, tiny_backbone):
-        cache = EvaluationCache(capacity=64)
-        SearchEngine(
-            _search(tiny_splits, tiny_backbone, 2),
-            EngineConfig(use_cache=True, cache=cache),
-        ).run()
-        engine = SearchEngine(
-            _search(tiny_splits, tiny_backbone, 2),
-            EngineConfig(use_cache=True, cache=cache),
-        )
+    def test_cache_events_emitted(self, tiny_splits, tiny_backbone, tmp_path):
+        config = EngineConfig(store_root=str(tmp_path / "store"))
+        SearchEngine(_search(tiny_splits, tiny_backbone, 2), config).run()
+        engine = SearchEngine(_search(tiny_splits, tiny_backbone, 2), config)
         seen = []
         engine.events.subscribe(lambda e: seen.append(e.kind), kinds=["cache-hit"])
         engine.run()
@@ -354,10 +352,7 @@ class TestEngineCache:
             _search(tiny_splits, tiny_backbone, 1), EngineConfig(use_cache=True)
         )
         # A different timing constraint is a different evaluation context.
-        other = _search(tiny_splits, tiny_backbone, 1)
-        other.evaluator.config.reward = dataclasses.replace(
-            other.evaluator.config.reward, timing_constraint_ms=123.0
-        )
+        other = _search(tiny_splits, tiny_backbone, 1, timing_constraint_ms=123.0)
         engine_b = SearchEngine(other, EngineConfig(use_cache=True))
         assert engine_a.child_cache_key(descriptor) != engine_b.child_cache_key(descriptor)
 
@@ -489,9 +484,7 @@ class TestPriceBeforeBuild:
         runs = []
         for bypass in (True, False):
             search = self._gated(tiny_splits, tiny_backbone)
-            search.evaluator.config = dataclasses.replace(
-                search.evaluator.config, bypass_invalid=bypass
-            )
+            _set_bypass_invalid(search, bypass)
             built = _spy_produce(search)
             engine = SearchEngine(
                 search, EngineConfig(use_cache=True, batch_episodes=2)
@@ -599,9 +592,7 @@ class TestPriceBeforeBuild:
         runs = []
         for bypass in (True, False):
             search = self._gated(tiny_splits, tiny_backbone, pipeline=ladder)
-            search.evaluator.config = dataclasses.replace(
-                search.evaluator.config, bypass_invalid=bypass
-            )
+            _set_bypass_invalid(search, bypass)
             built = _spy_produce(search)
             result = SearchEngine(search, EngineConfig(batch_episodes=2)).run()
             runs.append((search, result.history.records, built))
@@ -645,17 +636,17 @@ class TestOneWavePath:
             pipeline=self.ladder,
         )
 
-    def test_staged_rejections_count_cache_and_replay(self, tiny_splits, tiny_backbone):
+    def test_staged_rejections_count_cache_and_replay(
+        self, tiny_splits, tiny_backbone, tmp_path
+    ):
         # A gate rejection is evaluated at the child's first rung like any
         # other miss there: counted, cached under that rung's key, replayed.
-        cache = EvaluationCache(capacity=64)
+        config = EngineConfig(store_root=str(tmp_path / "store"), batch_episodes=4)
 
         def run():
             search = self._staged(tiny_splits, tiny_backbone, GATED_MS)
             built = _spy_produce(search)
-            engine = SearchEngine(
-                search, EngineConfig(use_cache=True, cache=cache, batch_episodes=4)
-            )
+            engine = SearchEngine(search, config)
             return engine, engine.run().history.records, built
 
         cold_engine, cold, _ = run()
@@ -683,14 +674,12 @@ class TestOneWavePath:
         # Keep only the proxy rung's results: the replay must train exactly
         # the promoted children, at the full rung, from their initial weights.
         proxy = cold_engine.pipeline.fidelities[0]
-        cache = EvaluationCache(capacity=64)
-        for record in cold:
-            key = cold_engine.child_cache_key(record.descriptor, proxy)
-            cache.put(key, cold_engine.cache.get(key))
-
         search = self._staged(tiny_splits, tiny_backbone, 1e6)
         built = _spy_produce(search)
-        engine = SearchEngine(search, EngineConfig(cache=cache, batch_episodes=4))
+        engine = SearchEngine(search, EngineConfig(use_cache=True, batch_episodes=4))
+        for record in cold:
+            key = cold_engine.child_cache_key(record.descriptor, proxy)
+            engine.cache.put(key, cold_engine.cache.get(key))
         warm = engine.run().history.records
 
         assert [r.reward for r in warm] == [r.reward for r in cold]
@@ -811,15 +800,45 @@ class TestCheckpointResume:
             r.descriptor for r in uninterrupted.history.records
         ]
 
+    @pytest.mark.parametrize("timing_ms", [GATED_MS, 1e6])
+    def test_second_run_call_continues_the_history(
+        self, tiny_splits, tiny_backbone, tmp_path, timing_ms
+    ):
+        total, cut = 8, 4
+
+        def search():
+            return _search(
+                tiny_splits,
+                tiny_backbone,
+                total,
+                policy_batch=2,
+                timing_constraint_ms=timing_ms,
+            )
+
+        straight = SearchEngine(search(), EngineConfig(batch_episodes=2)).run()
+        run_dir = str(tmp_path / "run")
+        engine = SearchEngine(
+            search(), EngineConfig(batch_episodes=2, run_dir=run_dir)
+        )
+        first_seconds = engine.run(cut).history.total_seconds
+        history = engine.run(total).history
+
+        assert [r.episode for r in history.records] == list(range(total))
+        assert [r.decisions for r in history.records] == [
+            r.decisions for r in straight.history.records
+        ]
+        assert history.reward_trajectory() == straight.history.reward_trajectory()
+        assert history.total_seconds >= first_seconds
+        checkpoint = load_checkpoint(run_dir)
+        assert checkpoint.next_episode == total
+        assert [r.episode for r in checkpoint.history.records] == list(range(total))
+
     def test_restore_rejects_different_context(self, tiny_splits, tiny_backbone, tmp_path):
         run_dir = str(tmp_path / "run")
         SearchEngine(
             _search(tiny_splits, tiny_backbone, 2), EngineConfig(run_dir=run_dir)
         ).run()
-        other = _search(tiny_splits, tiny_backbone, 2)
-        other.evaluator.config.reward = dataclasses.replace(
-            other.evaluator.config.reward, timing_constraint_ms=123.0
-        )
+        other = _search(tiny_splits, tiny_backbone, 2, timing_constraint_ms=123.0)
         engine = SearchEngine(other, EngineConfig(run_dir=run_dir))
         with pytest.raises(ValueError):
             engine.restore()
@@ -983,15 +1002,6 @@ class TestEngineConfigResolution:
         with pytest.raises(ValueError):
             EngineConfig(checkpoint_every=-1)
 
-    def test_live_cache_with_a_store_rejected(self, tmp_path):
-        # A live cache keeps the tier it was built with, so a store setting
-        # next to it would be silently ignored (or leak into a later engine).
-        cache = EvaluationCache(capacity=4)
-        with pytest.raises(ValueError, match="store_root or store_url"):
-            EngineConfig(cache=cache, store_root=str(tmp_path / "store"))
-        with pytest.raises(ValueError, match="store_root or store_url"):
-            EngineConfig(cache=cache, store_url="http://127.0.0.1:1")
-
     def test_wave_larger_than_policy_batch_rejected(self, tiny_splits, tiny_backbone):
         engine = SearchEngine(
             _search(tiny_splits, tiny_backbone, 4, policy_batch=1),
@@ -999,17 +1009,6 @@ class TestEngineConfigResolution:
         )
         with pytest.raises(ValueError, match="batch_episodes"):
             engine.run()
-
-    def test_default_config_installation(self):
-        installed = EngineConfig(backend="thread", num_workers=3)
-        previous = set_default_engine_config(installed)
-        try:
-            assert resolve_engine_config() is installed
-            explicit = EngineConfig()
-            assert resolve_engine_config(explicit) is explicit
-        finally:
-            set_default_engine_config(previous)
-        assert resolve_engine_config().backend == "serial"
 
 
 class TestRunEngineSearch:

@@ -20,7 +20,7 @@ from repro.core.pipeline import (
 )
 from repro.core.policy import PolicyGradientConfig
 from repro.core.reward import INVALID_REWARD, RewardConfig, compute_reward
-from repro.engine import EngineConfig, EvaluationCache, SearchEngine
+from repro.engine import EngineConfig, SearchEngine
 from repro.engine.events import EARLY_STOPPED, WAVE_PROMOTED, WAVE_RESIZED
 from repro.fairness.report import evaluate_fairness
 from repro.hardware.constraints import DesignSpec, HardwareSpec, SoftwareSpec
@@ -231,7 +231,7 @@ def _seed_reference_episode(search, child, latency_estimator):
             "group_accuracy": {},
             "reward": INVALID_REWARD,
         }
-    trainer = evaluator._trainer
+    trainer = evaluator.pipeline.trainer(evaluator.pipeline.final_fidelity)
     trainer.fit(child.model, evaluator.train_dataset.images, evaluator.train_dataset.labels)
     report = evaluate_fairness(child.model, evaluator.validation_dataset, trainer)
     reward = compute_reward(
@@ -420,10 +420,10 @@ class TestMultiFidelity:
         assert compared > 0
 
     def test_warm_cache_replays_staged_run_without_training(
-        self, tiny_splits, tiny_backbone
+        self, tiny_splits, tiny_backbone, tmp_path
     ):
         episodes, batch = 4, 4
-        cache = EvaluationCache(capacity=64)
+        store_root = str(tmp_path / "store")
 
         def run():
             search = _search(
@@ -435,7 +435,7 @@ class TestMultiFidelity:
             )
             engine = SearchEngine(
                 search,
-                EngineConfig(batch_episodes=batch, use_cache=True, cache=cache),
+                EngineConfig(batch_episodes=batch, store_root=store_root),
             )
             return engine, engine.run()
 
