@@ -34,7 +34,7 @@ from repro.nn.trainer import TrainingConfig
 from repro.utils.rng import SeedLike, spawn_rngs
 
 if TYPE_CHECKING:
-    from repro.engine.engine import EngineConfig
+    from repro.engine.engine import EngineConfig, SearchEngine
 
 
 @dataclass
@@ -183,17 +183,22 @@ class FaHaNaSearch:
         )
         self._sample_rng = rngs[2]
         self._child_rng = rngs[3]
+        # The engine of every run() call, built by the first.
+        self._engine: Optional["SearchEngine"] = None
 
     # -- search loop ------------------------------------------------------------------
     def run(self, episodes: Optional[int] = None) -> FaHaNaResult:
-        """Run the search and return the history plus the headline networks.
+        """Run (or continue) the search up to ``episodes`` total episodes and
+        return the history plus the headline networks.
 
-        Delegates to :class:`repro.engine.SearchEngine`; with the default
+        Delegates to one :class:`repro.engine.SearchEngine` per search, so a
+        later call continues where the last one stopped; with the default
         engine configuration this is the original sample -> produce ->
         evaluate -> observe loop, bit for bit.
         """
-        # Imported lazily: the engine builds on core, not the other way round.
-        from repro.engine.engine import SearchEngine
+        if self._engine is None:
+            # Imported lazily: the engine builds on core, not the other way round.
+            from repro.engine.engine import SearchEngine
 
-        engine = SearchEngine(self, config=self.config.engine)
-        return engine.run(episodes)
+            self._engine = SearchEngine(self, config=self.config.engine)
+        return self._engine.run(episodes)

@@ -230,14 +230,20 @@ class MemoryGate:
 
 # -- weight snapshots (promotion re-trains from the child's initial weights) --------
 def snapshot_weights(model: Module) -> Dict[str, np.ndarray]:
-    """Copy every parameter and batch-norm running statistic of ``model``.
+    """Copy every trainable parameter and batch-norm running statistic of ``model``.
 
     Proxy training mutates the child model in place; a promoted child must
     re-train its *full* stage from the same initial weights the sequential
     loop would have used, so the engine snapshots them before the first stage
-    runs.
+    runs.  Frozen parameters are left out: training never changes them, and
+    restoring them would replace a child's shared frozen arrays with copies.
+    The frozen prefix's batch-norm statistics are kept, as a fit moves them.
     """
-    state = {name: data.copy() for name, data in model.state_dict().items()}
+    state = {
+        name: param.data.copy()
+        for name, param in model.named_parameters()
+        if param.trainable
+    }
     for index, module in enumerate(m for m in model.modules() if isinstance(m, BatchNorm2d)):
         state[f"__bn_mean__{index}"] = module.running_mean.copy()
         state[f"__bn_var__{index}"] = module.running_var.copy()
@@ -249,7 +255,8 @@ def restore_weights(model: Module, snapshot: Dict[str, np.ndarray]) -> None:
     parameters = {
         name: value for name, value in snapshot.items() if not name.startswith("__bn_")
     }
-    model.load_state_dict(parameters)
+    # Not strict: the snapshot holds no frozen parameter.
+    model.load_state_dict(parameters, strict=False)
     for index, module in enumerate(m for m in model.modules() if isinstance(m, BatchNorm2d)):
         module.running_mean = snapshot[f"__bn_mean__{index}"].copy()
         module.running_var = snapshot[f"__bn_var__{index}"].copy()

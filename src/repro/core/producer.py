@@ -13,22 +13,23 @@ With ``freeze=False`` the producer degenerates into the MONAS baseline: every
 backbone position is searchable and no pre-trained weights are reused.
 
 The frozen prefix -- the stem and the blocks before the split -- is the same
-in every child, so the first :meth:`BackboneProducer.produce` builds it once,
-with the backbone's weights and batch-norm statistics, and every child gets
-its own unpickled copy of it and builds only its searchable tail.  The copy
-is the child's own because children train concurrently on the thread backend
-and every layer keeps its own workspaces.  Identical prefixes are also what
-lets :class:`~repro.nn.trainer.Trainer` replay the prefix's outputs from one
-child to the next.
+in every child, so the first :meth:`BackboneProducer.produce` builds it once:
+only those stages, holding read-only copies of the backbone's weights and its
+batch-norm statistics.  Every child gets shells of them
+(:meth:`~repro.nn.module.Module.shell`) and builds only its searchable tail.
+A shell's frozen parameters point at the shared arrays and carry no gradient,
+so an in-place write into a frozen weight raises.  Its modules and batch-norm
+buffers are the child's own: a prefix that runs in training mode moves its
+batch-norm statistics, children train concurrently on the thread backend,
+and every layer keeps its own workspaces.  Shared arrays are also what lets
+:class:`~repro.nn.trainer.Trainer` replay the prefix's outputs from one child
+to the next without comparing the weights' bytes.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from repro.blocks.spec import BlockSpec
 from repro.core.freezing import FreezingAnalysis, analyse_model_freezing
@@ -105,8 +106,8 @@ class BackboneProducer:
         self._backbone_model: Optional[Sequential] = None
         self._split_block: int = 0
         self._positions: List[SearchPosition] = []
-        # The pickled frozen prefix, made by the first produce().
-        self._prefix_pickle: Optional[bytes] = None
+        # The shared frozen prefix, built by the first produce().
+        self._prefix: Optional[List[Module]] = None
 
     # -- preparation ---------------------------------------------------------------
     def prepare(self) -> Optional[FreezingAnalysis]:
@@ -265,23 +266,24 @@ class BackboneProducer:
         )
 
     def _frozen_prefix(self) -> List[Module]:
-        """A private copy of the frozen prefix (empty when not freezing).
+        """This child's shells of the shared frozen prefix (empty when not freezing).
 
         Stage 0 is the stem and stages 1..split_block are the frozen backbone
-        blocks, holding the pre-trained weights and batch-norm statistics and
-        marked non-trainable.  The first call builds them fresh -- the
-        backbone's own stages still hold their pre-training workspaces -- and
-        pickles them; every call returns an unpickled copy.
+        blocks.  The first call builds those stages alone, fresh -- the
+        backbone's own stages still hold their pre-training workspaces -- with
+        read-only copies of the backbone's weights and its batch-norm
+        statistics.  Every call returns shells of them.
         """
         if not self.config.freeze or self._backbone_model is None:
             return []
-        if self._prefix_pickle is None:
+        if self._prefix is None:
             # The seed is immaterial: the copy below overwrites every weight
             # the build draws.
             fresh = self.backbone.build(
                 num_classes=self.num_classes,
                 width_multiplier=self.config.width_multiplier,
                 rng=0,
+                depth=1 + self._split_block,
             )
             prefix = []
             for stage_index in range(1 + self._split_block):
@@ -289,10 +291,11 @@ class BackboneProducer:
                 target = fresh[stage_index]
                 target.load_state_dict(source.state_dict())
                 _copy_batchnorm_statistics(source, target)
-                target.freeze()
-                prefix.append(target)
-            self._prefix_pickle = pickle.dumps(prefix)
-        return pickle.loads(self._prefix_pickle)
+                for param in target.parameters():
+                    param.data.flags.writeable = False
+                prefix.append(target.shell())
+            self._prefix = prefix
+        return [stage.shell() for stage in self._prefix]
 
     def _ensure_prepared(self) -> None:
         if not self._prepared:

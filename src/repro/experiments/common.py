@@ -11,7 +11,7 @@ network only once per session.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -221,16 +221,3 @@ def evaluate_architecture(
     if data is None:
         _EVAL_CACHE[cache_key] = evaluation
     return evaluation
-
-
-def evaluate_architectures(
-    names: List[str],
-    preset: ScalePreset,
-    seed: int = 0,
-    reward_config: Optional[RewardConfig] = None,
-) -> List[ArchitectureEvaluation]:
-    """Evaluate several registered architectures with shared data and caching."""
-    return [
-        evaluate_architecture(name, preset, seed, reward_config=reward_config)
-        for name in names
-    ]

@@ -74,8 +74,3 @@ def default_dtype(dtype: DtypeLike) -> Iterator[np.dtype]:
         yield _DEFAULT_DTYPE
     finally:
         set_default_dtype(previous)
-
-
-def precision_name(dtype: DtypeLike = None) -> str:
-    """Canonical name ("float32"/"float64") of a policy value."""
-    return resolve_dtype(dtype).name

@@ -151,6 +151,34 @@ class Module:
         for param in self.parameters():
             param.zero_grad()
 
+    def shell(self) -> "Module":
+        """A frozen copy of this module over the same parameter arrays.
+
+        The shell has its own module objects, its own copies of the buffers
+        and, as parameters, frozen aliases of this module's (see
+        :meth:`Parameter.alias`).  Every other attribute is shared: layer
+        settings and specs, but also the caches and workspaces a forward
+        fills, so only shell a module that has never run forward.
+        """
+        parameters = OrderedDict(
+            (name, param.alias()) for name, param in self._parameters.items()
+        )
+        modules = OrderedDict(
+            (name, module.shell()) for name, module in self._modules.items()
+        )
+        buffers = OrderedDict(
+            (name, value.copy()) for name, value in self._buffers.items()
+        )
+        shell = object.__new__(type(self))
+        shell.__dict__.update(vars(self))
+        shell.__dict__.update(parameters)
+        shell.__dict__.update(modules)
+        shell.__dict__.update(buffers)
+        shell.__dict__.update(
+            _parameters=parameters, _modules=modules, _buffers=buffers
+        )
+        return shell
+
     # -- precision ---------------------------------------------------------------
     def astype(self, dtype: DtypeLike) -> "Module":
         """Cast every parameter, gradient and buffer to ``dtype`` in place.
@@ -234,6 +262,11 @@ class Sequential(Module):
         self.register_module(name, module)
         self._order.append(name)
         return self
+
+    def shell(self) -> "Sequential":
+        shell = super().shell()
+        shell._order = list(self._order)
+        return shell
 
     def __len__(self) -> int:
         return len(self._order)

@@ -18,6 +18,8 @@ class Parameter:
 
     ``dtype`` defaults to the global precision policy
     (:mod:`repro.nn.dtype`), which is float64 unless a run opts into float32.
+
+    ``grad`` is None on a frozen :meth:`alias`, which never accumulates one.
     """
 
     def __init__(
@@ -28,16 +30,26 @@ class Parameter:
         dtype: DtypeLike = None,
     ):
         self.data = np.asarray(data, dtype=resolve_dtype(dtype))
-        self.grad = np.zeros_like(self.data)
+        self.grad: Optional[np.ndarray] = np.zeros_like(self.data)
         self.name = name
         self.trainable = trainable
+
+    def alias(self) -> "Parameter":
+        """A frozen parameter over this one's ``data`` object, without a gradient."""
+        alias = Parameter.__new__(Parameter)
+        alias.data = self.data
+        alias.grad = None
+        alias.name = self.name
+        alias.trainable = False
+        return alias
 
     def astype(self, dtype: DtypeLike) -> "Parameter":
         """Cast the value and gradient to ``dtype`` in place (no-op if equal)."""
         resolved = resolve_dtype(dtype)
         if self.data.dtype != resolved:
             self.data = self.data.astype(resolved)
-            self.grad = self.grad.astype(resolved)
+            if self.grad is not None:
+                self.grad = self.grad.astype(resolved)
         return self
 
     @property
@@ -50,7 +62,8 @@ class Parameter:
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient to zero."""
-        self.grad.fill(0.0)
+        if self.grad is not None:
+            self.grad.fill(0.0)
 
     def accumulate_grad(self, grad: np.ndarray) -> None:
         """Add ``grad`` to the accumulated gradient (no-op when frozen)."""

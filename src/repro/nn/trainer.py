@@ -20,11 +20,15 @@ last ``predict``.  A later call replays them instead of running the prefix.
   ``0.0``): the prefix's module structure, parameters and buffers, the
   images (dtype, shape, values), every epoch's batch order -- drawn up
   front, since the loop's generator draws nothing else --, the batch size
-  and the epoch count; for ``predict``, the inference batch size.  A miss
+  and the epoch count; for ``predict``, the inference batch size.  A
+  read-only parameter or buffer array that owns its memory -- the frozen
+  weights a producer shares between its children -- is equal without a
+  comparison when it is the very object the recording holds.  A miss
   records anew and replaces the old recording; a trainer keeps one fit and
   one predict recording.
 * **What it assumes.**  No frozen stage draws random numbers (a ``Dropout``
-  ends the prefix), and frozen parameters do not change inside ``fit``.
+  ends the prefix), frozen parameters do not change inside ``fit``, and an
+  array made read-only is never made writable again.
 * **Bound.**  A recording that would exceed ``PREFIX_MEMO_MAX_BYTES``
   (epochs x samples x prefix-output bytes, plus the compared copies) is not
   kept; such calls run the prefix for every batch.
@@ -32,8 +36,10 @@ last ``predict``.  A later call replays them instead of running the prefix.
   one per fidelity rung, so each search pays for its own first child.  A lock
   guards it on the thread backend; replayed arrays are read-only, so a tail
   layer that wrote into its input would raise instead of corrupting a later
-  child.  Pickling a trainer drops the memo (``__getstate__``): the fleet and
-  a process pool without a shared evaluator ship the trainer with every task,
+  child.  Pickling a trainer drops the memo (``__getstate__``).  The process
+  pool ships the evaluator, trainers included, once per worker, so a
+  worker's memo serves every task it runs, comparing the pickled children's
+  frozen weights byte for byte; the fleet ships the trainer with every task,
   so there every task starts cold.
 """
 
@@ -208,17 +214,19 @@ def _buffer_slots(stages: Sequence[Module]) -> List[Tuple[Module, str]]:
     ]
 
 
-def _layout_and_state(prefix: Sequence[Module]) -> Tuple[tuple, bytes]:
-    """What the prefix computes with: its structure, and its parameters' and
-    buffers' bytes.
+def _layout_and_state(prefix: Sequence[Module]) -> Tuple[tuple, tuple]:
+    """What the prefix computes with: its structure, and its parameters and
+    buffers.
 
     The structure is every module's type and public scalar settings (stride,
     padding, eps, training mode, ...) plus every array's name, dtype and
     shape, so two prefixes with equal weights but different layers never
-    compare equal.
+    compare equal.  The state holds, per array, the array itself when it is
+    read-only and owns its memory (nothing can write its bytes, so the object
+    stands for them) and a copy of its bytes otherwise.
     """
     layout: List[object] = []
-    chunks: List[bytes] = []
+    state: List[object] = []
     for stage in prefix:
         for module in stage.modules():
             layout.append(type(module))
@@ -233,15 +241,34 @@ def _layout_and_state(prefix: Sequence[Module]) -> Tuple[tuple, bytes]:
             arrays.extend(module._buffers.items())
             for name, array in arrays:
                 layout.append((name, array.dtype.str, array.shape))
-                chunks.append(array.tobytes())
-    return tuple(layout), b"".join(chunks)
+                read_only = not array.flags.writeable and array.flags.owndata
+                state.append(array if read_only else array.tobytes())
+    return tuple(layout), tuple(state)
+
+
+def _same_state(kept: tuple, state: tuple) -> bool:
+    """True when two states of one prefix layout hold the same bytes, array
+    by array.
+
+    An array the kept state holds is alive as long as the state is, so no
+    other object can take its place: the same object is the same bytes.
+    """
+    return all(
+        old is new or _as_bytes(old) == _as_bytes(new) for old, new in zip(kept, state)
+    )
+
+
+def _as_bytes(part: object) -> bytes:
+    return part if isinstance(part, bytes) else part.tobytes()
 
 
 class _Recording:
     """One call's frozen-prefix outputs, kept to replay for equal calls."""
 
-    def __init__(self, key: tuple, budget: int, rows: int):
+    def __init__(self, key: tuple, state: tuple, budget: int, rows: int):
         self.key = key
+        # The prefix's parameters and buffers (see _layout_and_state).
+        self.state = state
         # One read-only array per batch, in call order.
         self.outputs: List[np.ndarray] = []
         # fit only: the prefix's buffers as the fit left them.
@@ -289,16 +316,16 @@ class _PrefixMemo:
             return None, None
         layout, state = _layout_and_state(prefix)
         pixels = images.tobytes()
-        key = (layout, state, images.dtype.str, images.shape, pixels, settings)
+        key = (layout, images.dtype.str, images.shape, pixels, settings)
         with self._lock:
             kept = self._recordings.get(call)
         # A kept recording never changes, so comparing needs no lock.
-        if kept is not None and kept.key == key:
+        if kept is not None and kept.key == key and _same_state(kept.state, state):
             return kept, None
-        key_bytes = len(state) + len(pixels) + sum(
-            len(part) for part in settings if isinstance(part, bytes)
+        key_bytes = len(pixels) + sum(
+            len(part) for part in state + settings if isinstance(part, bytes)
         )
-        return None, _Recording(key, PREFIX_MEMO_MAX_BYTES - key_bytes, rows)
+        return None, _Recording(key, state, PREFIX_MEMO_MAX_BYTES - key_bytes, rows)
 
     def keep(self, call: str, recording: _Recording) -> None:
         """Make ``recording`` the one replayed for ``call``."""

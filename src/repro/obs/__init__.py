@@ -32,7 +32,7 @@ from repro.obs.metrics import (
     set_enabled,
     set_registry,
 )
-from repro.obs.tracing import NullTracer, Tracer
+from repro.obs.tracing import Tracer
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -40,7 +40,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullTracer",
     "Tracer",
     "enabled",
     "get_registry",

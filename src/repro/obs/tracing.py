@@ -136,10 +136,3 @@ class Tracer:
         if attrs:
             payload.update(attrs)
         self._sink(payload, episode)
-
-
-class NullTracer(Tracer):
-    """A tracer that drops everything (engines constructed without a bus)."""
-
-    def __init__(self) -> None:
-        super().__init__(lambda payload, episode: None)

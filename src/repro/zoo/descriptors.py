@@ -198,6 +198,7 @@ class ArchitectureDescriptor:
         dense_classifier_features: Optional[int] = None,
         *,
         prefix: Sequence[Module] = (),
+        depth: Optional[int] = None,
     ) -> Sequential:
         """Instantiate a trainable numpy model.
 
@@ -210,6 +211,8 @@ class ArchitectureDescriptor:
         first blocks -- which the model takes as they are instead of building
         them.  Every stage still draws from its own stream of ``rng``, so the
         stages built here get the weights a full build would give them.
+        ``depth`` stops the build after that many leading stages (the stem,
+        then blocks), for a caller that needs only a prefix.
         """
         if len(prefix) > len(self.blocks) + 1:
             raise ValueError(
@@ -239,9 +242,12 @@ class ArchitectureDescriptor:
                 )
             )
 
-        for index in range(len(stages) - 1, len(self.blocks)):
+        blocks = len(self.blocks) if depth is None else depth - 1
+        for index in range(len(stages) - 1, blocks):
             scaled_spec = self.blocks[index].scaled(width_multiplier)
             stages.append(build_block(scaled_spec, rng=rngs[index + 1]))
+        if depth is not None:
+            return Sequential(*stages)
 
         head_in = scale(self.head.ch_in)
         head_out = scale(self.head.ch_out)

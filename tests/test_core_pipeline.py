@@ -155,8 +155,12 @@ class TestProducer:
             params = [stage.parameters() for stage in stages]
             for a, b, source in zip(*params):
                 assert not a.trainable and not b.trainable
-                assert not np.shares_memory(a.data, b.data)
-                assert a.data.tobytes() == b.data.tobytes() == source.data.tobytes()
+                # The children share one read-only array per frozen weight,
+                # a copy of the backbone's.
+                assert a is not b and a.data is b.data
+                assert not a.data.flags.writeable
+                assert not np.shares_memory(a.data, source.data)
+                assert a.data.tobytes() == source.data.tobytes()
         assert first.num_frozen_parameters == second.num_frozen_parameters > 0
 
     def test_child_model_forward(self, producer, tiny_splits):

@@ -833,6 +833,32 @@ class TestCheckpointResume:
         assert checkpoint.next_episode == total
         assert [r.episode for r in checkpoint.history.records] == list(range(total))
 
+    @pytest.mark.parametrize("timing_ms", [GATED_MS, 1e6])
+    def test_second_search_run_call_continues_the_search(
+        self, tiny_splits, tiny_backbone, timing_ms
+    ):
+        total, cut = 8, 4
+
+        def search():
+            return _search(
+                tiny_splits,
+                tiny_backbone,
+                total,
+                policy_batch=2,
+                timing_constraint_ms=timing_ms,
+            )
+
+        straight = search().run(total).history
+        continued = search()
+        continued.run(cut)
+        history = continued.run(total).history
+
+        assert [r.episode for r in history.records] == list(range(total))
+        assert [r.decisions for r in history.records] == [
+            r.decisions for r in straight.records
+        ]
+        assert history.reward_trajectory() == straight.reward_trajectory()
+
     def test_restore_rejects_different_context(self, tiny_splits, tiny_backbone, tmp_path):
         run_dir = str(tmp_path / "run")
         SearchEngine(

@@ -178,10 +178,13 @@ def _train_and_check(producer, splits, trainer, decisions, seed, fraction, *, nu
     child = producer.produce(decisions, seed=seed)
     reference = _reference_child(producer, decisions, seed)
     if nudge:
-        # One ulp on one frozen stem weight, in both models.
+        # One ulp on one frozen stem weight, in both models.  The child's
+        # frozen weights are read-only, so the nudge goes into a copy.
         for model in (child.model, reference):
             weight = model[0][0].weight
-            weight.data.flat[0] = np.nextafter(weight.data.flat[0], np.inf)
+            nudged = weight.data.copy()
+            nudged.flat[0] = np.nextafter(nudged.flat[0], np.inf)
+            weight.data = nudged
     assert _state(child.model) == _state(reference)
     assert child.num_trainable_parameters == reference.num_parameters(trainable_only=True)
     assert child.num_frozen_parameters == sum(

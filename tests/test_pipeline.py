@@ -210,6 +210,23 @@ class TestWeightSnapshots:
         after = child.model.state_dict()
         assert all(np.array_equal(before[k], after[k]) for k in before)
 
+    def test_a_restored_child_keeps_the_shared_frozen_arrays(self, tiny_splits, tiny_backbone):
+        search = _search(tiny_splits, tiny_backbone)
+        decisions = search.controller.sample(rng=np.random.default_rng(0)).decisions
+        child = search.producer.produce(decisions, rng=np.random.default_rng(1))
+        frozen = [param for param in child.model.parameters() if not param.trainable]
+        assert frozen
+        snapshot = snapshot_weights(child.model)
+        search.evaluator.pipeline.train_and_score(child)
+        restore_weights(child.model, snapshot)
+        # Still the producer's arrays: the ones its next child gets.
+        sibling = search.producer.produce(decisions, rng=np.random.default_rng(2))
+        shared = [param for param in sibling.model.parameters() if not param.trainable]
+        assert len(shared) == len(frozen)
+        for param, other in zip(frozen, shared):
+            assert param.data is other.data
+            assert not param.data.flags.writeable and param.grad is None
+
 
 # -- bit-for-bit parity of the default (single full-fidelity) pipeline --------------
 def _seed_reference_episode(search, child, latency_estimator):
