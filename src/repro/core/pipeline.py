@@ -35,8 +35,6 @@ from repro.core.reward import INVALID_REWARD, RewardConfig, compute_reward
 from repro.data.dataset import GroupedDataset
 from repro.fairness.report import FairnessReport, evaluate_fairness
 from repro.hardware.latency import LatencyEstimator
-from repro.nn.layers.norm import BatchNorm2d
-from repro.nn.module import Module
 from repro.nn.trainer import Trainer, TrainingConfig
 from repro.utils.fingerprint import content_fingerprint
 from repro.utils.rng import new_rng
@@ -228,40 +226,6 @@ class MemoryGate:
         )
 
 
-# -- weight snapshots (promotion re-trains from the child's initial weights) --------
-def snapshot_weights(model: Module) -> Dict[str, np.ndarray]:
-    """Copy every trainable parameter and batch-norm running statistic of ``model``.
-
-    Proxy training mutates the child model in place; a promoted child must
-    re-train its *full* stage from the same initial weights the sequential
-    loop would have used, so the engine snapshots them before the first stage
-    runs.  Frozen parameters are left out: training never changes them, and
-    restoring them would replace a child's shared frozen arrays with copies.
-    The frozen prefix's batch-norm statistics are kept, as a fit moves them.
-    """
-    state = {
-        name: param.data.copy()
-        for name, param in model.named_parameters()
-        if param.trainable
-    }
-    for index, module in enumerate(m for m in model.modules() if isinstance(m, BatchNorm2d)):
-        state[f"__bn_mean__{index}"] = module.running_mean.copy()
-        state[f"__bn_var__{index}"] = module.running_var.copy()
-    return state
-
-
-def restore_weights(model: Module, snapshot: Dict[str, np.ndarray]) -> None:
-    """Restore a :func:`snapshot_weights` capture into ``model`` (in place)."""
-    parameters = {
-        name: value for name, value in snapshot.items() if not name.startswith("__bn_")
-    }
-    # Not strict: the snapshot holds no frozen parameter.
-    model.load_state_dict(parameters, strict=False)
-    for index, module in enumerate(m for m in model.modules() if isinstance(m, BatchNorm2d)):
-        module.running_mean = snapshot[f"__bn_mean__{index}"].copy()
-        module.running_var = snapshot[f"__bn_var__{index}"].copy()
-
-
 class EvaluationPipeline:
     """Prices, trains and scores child networks through configurable stages.
 
@@ -382,20 +346,16 @@ class EvaluationPipeline:
         child: ChildArchitecture,
         fidelity: Optional[FidelityConfig] = None,
         pricing: Optional[PricingReport] = None,
-        restore_from: Optional[Dict[str, np.ndarray]] = None,
     ) -> "EvaluationResult":
         """Train one child at ``fidelity`` and score it (accuracy, unfairness, Eq. 1).
 
-        ``restore_from`` resets the child's weights first, so a promoted child
-        trains its next stage from the same initial weights a single-stage
-        evaluation would have used instead of fine-tuning the proxy result.
+        Training changes the child in place, so a child promoted to a later
+        fidelity is built again from its seed rather than trained further.
         """
         from repro.core.evaluator import EvaluationResult
 
         fidelity = fidelity or self.final_fidelity
         pricing = pricing or self.price(child.descriptor)
-        if restore_from is not None:
-            restore_weights(child.model, restore_from)
 
         trainer = self._trainers[fidelity.name]
         images, labels = self._training_data(fidelity)

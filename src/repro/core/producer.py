@@ -13,23 +13,32 @@ With ``freeze=False`` the producer degenerates into the MONAS baseline: every
 backbone position is searchable and no pre-trained weights are reused.
 
 The frozen prefix -- the stem and the blocks before the split -- is the same
-in every child, so the first :meth:`BackboneProducer.produce` builds it once:
-only those stages, holding read-only copies of the backbone's weights and its
-batch-norm statistics.  Every child gets shells of them
-(:meth:`~repro.nn.module.Module.shell`) and builds only its searchable tail.
-A shell's frozen parameters point at the shared arrays and carry no gradient,
-so an in-place write into a frozen weight raises.  Its modules and batch-norm
-buffers are the child's own: a prefix that runs in training mode moves its
-batch-norm statistics, children train concurrently on the thread backend,
-and every layer keeps its own workspaces.  Shared arrays are also what lets
-:class:`~repro.nn.trainer.Trainer` replay the prefix's outputs from one child
-to the next without comparing the weights' bytes.
+in every child, so the producer builds it once per precision
+(:meth:`BackboneProducer.shared_prefix`): only those stages, holding
+read-only copies of the backbone's weights and its batch-norm statistics,
+cast once to the precision the children train in.  Every child gets shells
+of them (:meth:`~repro.nn.module.Module.shell`) and builds only its
+searchable tail.  A shell's frozen parameters point at the shared arrays and
+carry no gradient, so an in-place write into a frozen weight raises.  Its
+modules and batch-norm buffers are the child's own: a prefix that runs in
+training mode moves its batch-norm statistics, children train concurrently
+on the thread backend, and every layer keeps its own workspaces.  Shared
+arrays are also what lets :class:`~repro.nn.trainer.Trainer` replay the
+prefix's outputs from one child to the next without comparing the weights'
+bytes.
+
+A child is named by its decisions and its weight-init seed, so the engine's
+workers build their own children.  The process pool hands every worker the
+producer once; a producer pickled after its prefix exists leaves the
+pre-trained backbone behind (children never read it) and unpickles its
+prefix read-only again, so a worker's children share arrays exactly as the
+parent's do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.blocks.spec import BlockSpec
 from repro.core.freezing import FreezingAnalysis, analyse_model_freezing
@@ -106,8 +115,21 @@ class BackboneProducer:
         self._backbone_model: Optional[Sequential] = None
         self._split_block: int = 0
         self._positions: List[SearchPosition] = []
-        # The shared frozen prefix, built by the first produce().
-        self._prefix: Optional[List[Module]] = None
+        # The shared frozen prefix per precision, built by its first use.
+        self._prefix: Optional[Dict[Optional[str], List[Module]]] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        if self._prefix:
+            # Children need only the prefix; the backbone and its
+            # pre-training workspaces are most of the producer's bytes.
+            state["_backbone_model"] = None
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        for stages in (self._prefix or {}).values():
+            _share_read_only(stages)
 
     # -- preparation ---------------------------------------------------------------
     def prepare(self) -> Optional[FreezingAnalysis]:
@@ -239,24 +261,33 @@ class BackboneProducer:
         rng: SeedLike = None,
         *,
         seed: Optional[int] = None,
+        precision: Optional[str] = None,
     ) -> ChildArchitecture:
         """Materialise the child network described by the controller decisions.
 
         ``seed`` initialises the weights when the caller already drew it;
         otherwise it is drawn from ``rng`` (the producer's own stream if None).
+        ``precision`` (a ``TrainingConfig.precision``) is the dtype the child
+        will train in: the child gets the shared prefix in that dtype and its
+        tail is cast to it, so a fit's own cast changes nothing.  None keeps
+        the dtype the child is built in.
         """
         descriptor = self.describe_child(decisions)
 
         if seed is None:
             stream = self._rng if rng is None else new_rng(rng)
             seed = int(stream.integers(0, 2**31 - 1))
-        prefix = self._frozen_prefix()
+        prefix = [stage.shell() for stage in self.shared_prefix(precision)]
         model = descriptor.build(
             num_classes=self.num_classes,
             width_multiplier=self.config.width_multiplier,
             rng=seed,
             prefix=prefix,
         )
+        if precision is not None:
+            # The prefix is in this precision already.
+            for stage in list(model)[len(prefix) :]:
+                stage.astype(precision)
         return ChildArchitecture(
             descriptor=descriptor,
             model=model,
@@ -265,18 +296,31 @@ class BackboneProducer:
             num_frozen_parameters=sum(stage.num_parameters() for stage in prefix),
         )
 
-    def _frozen_prefix(self) -> List[Module]:
-        """This child's shells of the shared frozen prefix (empty when not freezing).
+    def shared_prefix(self, precision: Optional[str] = None) -> List[Module]:
+        """The frozen prefix in ``precision`` that every child shells (empty
+        when not freezing).
 
         Stage 0 is the stem and stages 1..split_block are the frozen backbone
-        blocks.  The first call builds those stages alone, fresh -- the
-        backbone's own stages still hold their pre-training workspaces -- with
-        read-only copies of the backbone's weights and its batch-norm
-        statistics.  Every call returns shells of them.
+        blocks.  The first call per precision builds those stages alone,
+        fresh -- the backbone's own stages still hold their pre-training
+        workspaces -- with read-only copies of the backbone's weights and its
+        batch-norm statistics, cast once to ``precision`` (None keeps the
+        dtype they are built in).  Nothing runs these stages; children run
+        shells of them.  A first call is not thread-safe: the engine makes
+        it before its workers start.
         """
-        if not self.config.freeze or self._backbone_model is None:
+        if not self.config.freeze:
             return []
+        self._ensure_prepared()
         if self._prefix is None:
+            self._prefix = {}
+        stages = self._prefix.get(precision)
+        if stages is None:
+            if self._backbone_model is None:
+                raise RuntimeError(
+                    f"this producer was pickled without its backbone and holds "
+                    f"no frozen prefix in precision {precision!r}"
+                )
             # The seed is immaterial: the copy below overwrites every weight
             # the build draws.
             fresh = self.backbone.build(
@@ -285,21 +329,34 @@ class BackboneProducer:
                 rng=0,
                 depth=1 + self._split_block,
             )
-            prefix = []
+            stages = []
             for stage_index in range(1 + self._split_block):
                 source = self._backbone_model[stage_index]
                 target = fresh[stage_index]
                 target.load_state_dict(source.state_dict())
                 _copy_batchnorm_statistics(source, target)
-                for param in target.parameters():
-                    param.data.flags.writeable = False
-                prefix.append(target.shell())
-            self._prefix = prefix
-        return [stage.shell() for stage in self._prefix]
+                if precision is not None:
+                    target.astype(precision)
+                stages.append(target.shell())
+            _share_read_only(stages)
+            self._prefix[precision] = stages
+        return stages
 
     def _ensure_prepared(self) -> None:
         if not self._prepared:
             self.prepare()
+
+
+def _share_read_only(stages: Sequence[Module]) -> None:
+    """Make every weight array of ``stages`` read-only and the owner of its
+    memory.  An unpickled array is writable (protocol 4) or a read-only view
+    of the pickle's buffer (protocol 5); the prefix memo takes only a
+    read-only array that owns its memory by identity."""
+    for stage in stages:
+        for param in stage.parameters():
+            if not param.data.flags.owndata:
+                param.data = param.data.copy()
+            param.data.flags.writeable = False
 
 
 def _copy_batchnorm_statistics(source: Module, target: Module) -> None:

@@ -22,8 +22,8 @@ scaling features the seed loop lacked:
    ``cache_key()`` + evaluation context + rung budget) before any model is
    built; repeats return the memoized result without training.  A cache
    miss is priced against the gates from its descriptor, so a rejected
-   child is never built, and any other child is built the first time a
-   rung trains it.
+   child is never built.  Any other child is built by the worker that
+   trains it, from its decisions and seed, at every rung it trains.
 
 3. **Checkpoint/resume.**  With a ``run_dir`` configured, the engine
    snapshots controller weights, optimiser/baseline state, both RNG streams,
@@ -47,12 +47,9 @@ import math
 from repro.core.controller import ControllerSample
 from repro.core.evaluator import ChildEvaluator, EvaluationResult
 from repro.core.fahana import FaHaNaResult, FaHaNaSearch
-from repro.core.pipeline import (
-    FidelityConfig,
-    PricingReport,
-    snapshot_weights,
-)
-from repro.core.producer import ChildArchitecture
+from repro.core.pipeline import FidelityConfig, PricingReport
+from repro.core.producer import BackboneProducer
+from repro.core.search_space import BlockDecision
 from repro.core.results import EpisodeRecord, SearchHistory
 from repro.engine import checkpoint as checkpoint_io
 from repro.engine.cache import EvaluationCache, SharedCacheTier
@@ -185,12 +182,8 @@ class _EpisodeJob:
     # The episode's one child-RNG draw: its child's weight-init seed.
     seed: int
     cache_key: Optional[str] = None
-    # The gates' verdict, taken at the child's first cache miss.  ``child``
-    # is built the first time a rung trains it, so it stays None for children
-    # that never train (cache hits, gate rejections, intra-wave repeats).
+    # The gates' verdict, taken at the child's first cache miss.
     pricing: Optional[PricingReport] = None
-    child: Optional[ChildArchitecture] = None
-    initial_weights: Optional[Dict[str, Any]] = None
     evaluation: Optional[EvaluationResult] = None
     cache_hit: bool = False
     worker: str = ""
@@ -200,39 +193,41 @@ class _EpisodeJob:
 
 def _train_payload(
     payload: Tuple[
-        Optional[ChildEvaluator],
-        ChildArchitecture,
+        Optional[Tuple[ChildEvaluator, BackboneProducer]],
+        List[BlockDecision],
+        int,
         str,
-        Optional[PricingReport],
-        Optional[Dict[str, Any]],
+        PricingReport,
     ],
 ) -> Tuple[EvaluationResult, float, float]:
-    """Worker task: train and score one child at one rung of the ladder.
+    """Worker task: build, train and score one child at one rung of the ladder.
 
-    The engine priced the child from its descriptor, then built it from the
-    seed drawn at sampling when a rung first trained it; ``pricing`` travels
-    with the task, so the worker never prices again.  ``evaluator`` is None
-    when the process pool shipped it to the worker once at startup; it is
-    then read back from the worker's shared slot instead of travelling with
-    every task.
+    A task names its child -- the sample's decisions and the weight-init
+    seed drawn at sampling -- and the worker builds it with the producer, in
+    the run's precision, around the producer's shared frozen prefix.  Every
+    rung builds the child afresh from the same seed, so a promoted child
+    trains its next rung from the initial weights a single-rung run gives it,
+    on every backend.  The engine priced the child from its descriptor;
+    ``pricing`` travels with the task, so the worker never prices again.
+    The first slot is the ``(evaluator, producer)`` pair, or None when the
+    process pool shipped that pair to the worker once at startup; it is
+    then read back from the worker's shared slot.
 
-    ``initial_weights`` is the snapshot a multi-rung ladder takes when it
-    builds the child; restoring it makes every rung train from the same
-    initial weights regardless of backend (in-process pools mutate the
-    parent's model, the process pool trains a pickled copy).  Returns
-    ``(result, elapsed_seconds, wall_start)`` -- the wall-clock start lets
-    the engine record the training as a tracer span on the worker's own
-    timeline, which is what makes a trace show the wave's real parallelism.
+    Returns ``(result, elapsed_seconds, wall_start)`` -- the wall-clock start
+    lets the engine record the build and training as a tracer span on the
+    worker's own timeline, which is what makes a trace show the wave's real
+    parallelism.
     """
-    evaluator, child, fidelity_name, pricing, initial_weights = payload
-    if evaluator is None:
-        evaluator = workers_module.process_shared()
+    shared, decisions, seed, fidelity_name, pricing = payload
+    evaluator, producer = shared or workers_module.process_shared()
     pipeline = evaluator.pipeline
-    fidelity = pipeline.fidelity(fidelity_name)
     wall_start = time.time()  # repro-lint: disable=DET001 -- telemetry wall-clock timestamp surfaced in events; never enters results or cache keys
     start = time.perf_counter()
+    child = producer.produce(
+        decisions, seed=seed, precision=pipeline.training.precision
+    )
     result = pipeline.train_and_score(
-        child, fidelity, pricing=pricing, restore_from=initial_weights
+        child, pipeline.fidelity(fidelity_name), pricing=pricing
     )
     return result, time.perf_counter() - start, wall_start
 
@@ -262,6 +257,9 @@ class SearchEngine:
         # Reward-plateau tracking (seeded from a restored history on resume).
         self._best_reward = float("-inf")
         self._best_episode = -1
+        # The worker pool of the run in progress, created when a rung first
+        # has a child to train (see _worker_pool).
+        self._pool: Optional[WorkerPool] = None
         # The search so far, restored from a checkpoint or left by an earlier
         # run() call; the next call appends to it.
         self._history: Optional[SearchHistory] = None
@@ -623,14 +621,6 @@ class SearchEngine:
         # A run's first checkpoint writes the journal anew, dropping any torn
         # tail a killed run left; later ones append what changed.
         self._journal = checkpoint_io.JournalCursor()
-        pool = create_pool(
-            self.config.backend,
-            self.config.num_workers,
-            shared=search.evaluator,
-            blas_threads=self.config.blas_threads_per_worker,
-            metrics=self.metrics,
-            events=self.events.emit,
-        )
         try:
             while self._next_episode < num_episodes:
                 if (
@@ -674,7 +664,7 @@ class SearchEngine:
                     with self.tracer.span("sample", episode=self._next_episode):
                         jobs = self._sample_wave(wave)
                     with self.tracer.span("evaluate", episode=self._next_episode):
-                        self._evaluate_wave(jobs, pool)
+                        self._evaluate_wave(jobs)
                     with self.tracer.span("observe", episode=self._next_episode):
                         for job in jobs:
                             self._observe(job, history)
@@ -690,7 +680,7 @@ class SearchEngine:
                     payload={
                         "episodes_done": self._next_episode,
                         "wave": wave,
-                        "backend": pool.name,
+                        "backend": self.config.backend,
                     },
                 )
                 if adaptive:
@@ -708,7 +698,9 @@ class SearchEngine:
                         self._write_checkpoint(history)
                     episodes_since_checkpoint = 0
         finally:
-            pool.close()
+            if self._pool is not None:
+                self._pool.close()
+                self._pool = None
 
         search.policy_trainer.apply_update()
         history.total_seconds = seconds_before + time.perf_counter() - start
@@ -760,7 +752,7 @@ class SearchEngine:
             )
         return jobs
 
-    def _evaluate_wave(self, jobs: List[_EpisodeJob], pool: WorkerPool) -> None:
+    def _evaluate_wave(self, jobs: List[_EpisodeJob]) -> None:
         """Drive one wave up the pipeline's fidelity ladder.
 
         A plain run has one rung.  After each rung but the last, the top
@@ -776,7 +768,7 @@ class SearchEngine:
             if not survivors:
                 break
             with self.tracer.span(f"stage:{fidelity.name}", children=len(survivors)):
-                self._run_stage(survivors, fidelity, index, pool)
+                self._run_stage(survivors, fidelity)
                 if index == len(fidelities) - 1:
                     break
                 with self.tracer.span("promotion"):
@@ -806,21 +798,37 @@ class SearchEngine:
             )
             survivors = promoted
 
-    def _run_stage(
-        self,
-        jobs: List[_EpisodeJob],
-        fidelity: FidelityConfig,
-        index: int,
-        pool: WorkerPool,
-    ) -> None:
+    def _worker_pool(self) -> WorkerPool:
+        """The run's worker pool, created when a rung first has a child to train.
+
+        The producer's shared frozen prefix is built first, in this process
+        and in the run's precision: process workers forked afterwards share
+        its read-only arrays copy-on-write, and a run that never trains
+        builds neither.  Every pool gets the ``(evaluator, producer)`` pair
+        as its shared object, which the process pool ships once per worker.
+        """
+        if self._pool is None:
+            search = self.search
+            search.producer.shared_prefix(self.pipeline.training.precision)
+            self._pool = create_pool(
+                self.config.backend,
+                self.config.num_workers,
+                shared=(search.evaluator, search.producer),
+                blas_threads=self.config.blas_threads_per_worker,
+                metrics=self.metrics,
+                events=self.events.emit,
+            )
+        return self._pool
+
+    def _run_stage(self, jobs: List[_EpisodeJob], fidelity: FidelityConfig) -> None:
         """Evaluate one rung of the ladder for ``jobs``, in episode order.
 
         Each child is looked up under its (child, rung) cache key.  A miss is
         priced from its descriptor unless an earlier rung priced it; a child
         a gate rejects takes its rejection result without a model or a
-        worker, and any other miss is built the first time a rung trains it,
-        then trains on the pool.  Rejections and trainings alike count toward
-        ``evaluations_run`` and are cached.  When caching is on, duplicate
+        worker, and any other miss is built and trained by a pool worker
+        (see :func:`_train_payload`).  Rejections and trainings alike count
+        toward ``evaluations_run`` and are cached.  When caching is on, duplicate
         children *within* the wave are evaluated once per rung: a repeat
         shares its first occurrence's result, exactly as it would have hit
         the cache with wave size 1.  (With caching off every child is
@@ -844,23 +852,11 @@ class SearchEngine:
             unique.append(job)
 
         training: List[_EpisodeJob] = []
-        # Promotion re-trains later rungs from the child's initial weights,
-        # which in-process training at an earlier rung would otherwise have
-        # mutated.  Process workers train a pickled copy, so the parent's
-        # model keeps its initial weights and shipping a snapshot would
-        # double every promoted task's payload for no effect.
-        snapshot = len(pipeline.fidelities) > 1 and self.config.backend != "process"
         for job in unique:
             job.cache_hit = False
             if job.pricing is None:
                 job.pricing = pipeline.price(job.descriptor)
             if job.pricing.passed or not pipeline.bypass_invalid:
-                if job.child is None:
-                    job.child = self.search.producer.produce(
-                        job.sample.decisions, seed=job.seed
-                    )
-                    if snapshot:
-                        job.initial_weights = snapshot_weights(job.child.model)
                 training.append(job)
                 continue
             failures = [outcome.gate for outcome in job.pricing.failures()]
@@ -873,17 +869,13 @@ class SearchEngine:
                 payload={"gates": failures, "latency_ms": job.pricing.latency_ms},
             )
         if training:
-            # Pools that shipped the evaluator at startup get payloads
-            # without it; the worker reads it from its shared slot.
-            evaluator = None if pool.uses_shared else self.search.evaluator
+            pool = self._worker_pool()
+            # Pools that shipped the evaluator and producer at startup get
+            # tasks without them; the worker reads them from its shared slot.
+            search = self.search
+            shared = None if pool.uses_shared else (search.evaluator, search.producer)
             payloads = [
-                (
-                    evaluator,
-                    job.child,
-                    fidelity.name,
-                    job.pricing,
-                    job.initial_weights if index > 0 else None,
-                )
+                (shared, job.sample.decisions, job.seed, fidelity.name, job.pricing)
                 for job in training
             ]
             results = pool.map_ordered(_train_payload, payloads)

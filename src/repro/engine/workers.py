@@ -19,7 +19,16 @@ Backends:
   functions only).  A ``shared`` object passed to :func:`create_pool` is
   shipped to each worker process exactly once (via the executor's
   initializer) instead of being re-pickled with every task; tasks read it
-  back with :func:`process_shared`.
+  back with :func:`process_shared`.  Workers start at the first
+  ``map_ordered``; under the default ``fork`` start method they inherit
+  ``shared`` as it is then, without pickling it.
+
+The engine's shared object is its evaluator and producer, so a process
+task carries only the name of the child it trains (decisions, seed,
+fidelity and pricing report, a few hundred bytes) and the worker builds the
+child around the producer's frozen prefix.  The in-process backends and
+registered ones (the fleet) take the pair in every payload instead: by
+reference in-process, pickled into every fleet task.
 """
 
 from __future__ import annotations

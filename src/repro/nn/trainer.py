@@ -37,10 +37,14 @@ last ``predict``.  A later call replays them instead of running the prefix.
   guards it on the thread backend; replayed arrays are read-only, so a tail
   layer that wrote into its input would raise instead of corrupting a later
   child.  Pickling a trainer drops the memo (``__getstate__``).  The process
-  pool ships the evaluator, trainers included, once per worker, so a
-  worker's memo serves every task it runs, comparing the pickled children's
-  frozen weights byte for byte; the fleet ships the trainer with every task,
-  so there every task starts cold.
+  pool ships the evaluator, trainers included, and the producer once per
+  worker, and the worker builds each child around the producer's shared
+  prefix, so a worker's memo serves every task it runs by the identity of
+  the prefix's arrays.  A float32 child shares them too: the producer casts
+  the prefix once per precision and builds the child in the run's
+  precision, so the cast at the top of ``fit`` changes nothing.  The fleet
+  ships the evaluator and producer with every task, so there every task
+  starts cold.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import json
 import os
 import time
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -580,6 +581,18 @@ class TestPriceBeforeBuild:
         )
 
 
+    def test_a_search_that_trains_nothing_never_builds_the_prefix(
+        self, tiny_splits, tiny_backbone
+    ):
+        # A constraint no child meets.
+        search = _search(
+            tiny_splits, tiny_backbone, 4, policy_batch=2, timing_constraint_ms=1e-3
+        )
+        engine = SearchEngine(search, EngineConfig(backend="process", batch_episodes=2))
+        result = engine.run()
+        assert [r.worker for r in result.history.records] == ["gate"] * 4
+        assert search.producer._prefix is None
+
     def test_staged_rejections_are_never_built(self, tiny_splits, tiny_backbone):
         ladder = PipelineSettings(
             fidelities=(
@@ -602,10 +615,19 @@ class TestPriceBeforeBuild:
         rejected = [r for r in gated_records if r.worker == "gate"]
         assert rejected and len(rejected) < len(gated_records)
         assert all(r.stages == ["gate:latency"] for r in rejected)
-        assert [d.cache_key() for d in gated_built] == [
-            r.descriptor.cache_key() for r in gated_records if r.worker != "gate"
-        ]
-        assert len(every_built) == self.episodes
+        # A child is built once per rung it trains at, and a rejected one
+        # never.
+        assert Counter(d.cache_key() for d in gated_built) == Counter(
+            r.descriptor.cache_key()
+            for r in gated_records
+            if r.worker != "gate"
+            for _ in r.stages
+        )
+        assert not {r.descriptor.cache_key() for r in rejected} & {
+            d.cache_key() for d in gated_built
+        }
+        assert len(every_built) == sum(len(r.stages) for r in every_records)
+        assert len(every_built) > self.episodes
         assert [r.reward for r in gated_records] == [r.reward for r in every_records]
         assert (
             gated._child_rng.bit_generator.state

@@ -5,23 +5,19 @@ cache-enabled resume."""
 from __future__ import annotations
 
 import json
+import pickle
 import time
 
 import numpy as np
 import pytest
 
 from repro.core import FaHaNaConfig, FaHaNaSearch, ProducerConfig
-from repro.core.pipeline import (
-    EvaluationPipeline,
-    FidelityConfig,
-    PipelineSettings,
-    restore_weights,
-    snapshot_weights,
-)
+from repro.core.pipeline import EvaluationPipeline, FidelityConfig, PipelineSettings
 from repro.core.policy import PolicyGradientConfig
 from repro.core.reward import INVALID_REWARD, RewardConfig, compute_reward
 from repro.engine import EngineConfig, SearchEngine
 from repro.engine.events import EARLY_STOPPED, WAVE_PROMOTED, WAVE_RESIZED
+from repro.engine.workers import ProcessPool
 from repro.fairness.report import evaluate_fairness
 from repro.hardware.constraints import DesignSpec, HardwareSpec, SoftwareSpec
 from repro.nn.trainer import TrainingConfig
@@ -192,42 +188,6 @@ class TestGates:
             assert record.accuracy > 0.0
 
 
-class TestWeightSnapshots:
-    def test_snapshot_restore_roundtrip(self, tiny_splits, tiny_backbone):
-        search = _search(tiny_splits, tiny_backbone)
-        child = search.producer.produce(
-            search.controller.sample(rng=np.random.default_rng(0)).decisions,
-            rng=np.random.default_rng(1),
-        )
-        snapshot = snapshot_weights(child.model)
-        before = {k: v.copy() for k, v in child.model.state_dict().items()}
-        search.evaluator.pipeline.train_and_score(child)  # mutates in place
-        assert any(
-            not np.array_equal(before[k], v)
-            for k, v in child.model.state_dict().items()
-        )
-        restore_weights(child.model, snapshot)
-        after = child.model.state_dict()
-        assert all(np.array_equal(before[k], after[k]) for k in before)
-
-    def test_a_restored_child_keeps_the_shared_frozen_arrays(self, tiny_splits, tiny_backbone):
-        search = _search(tiny_splits, tiny_backbone)
-        decisions = search.controller.sample(rng=np.random.default_rng(0)).decisions
-        child = search.producer.produce(decisions, rng=np.random.default_rng(1))
-        frozen = [param for param in child.model.parameters() if not param.trainable]
-        assert frozen
-        snapshot = snapshot_weights(child.model)
-        search.evaluator.pipeline.train_and_score(child)
-        restore_weights(child.model, snapshot)
-        # Still the producer's arrays: the ones its next child gets.
-        sibling = search.producer.produce(decisions, rng=np.random.default_rng(2))
-        shared = [param for param in sibling.model.parameters() if not param.trainable]
-        assert len(shared) == len(frozen)
-        for param, other in zip(frozen, shared):
-            assert param.data is other.data
-            assert not param.data.flags.writeable and param.grad is None
-
-
 # -- bit-for-bit parity of the default (single full-fidelity) pipeline --------------
 def _seed_reference_episode(search, child, latency_estimator):
     """The seed repository's pre-refactor ChildEvaluator.evaluate, inlined."""
@@ -394,20 +354,21 @@ class TestMultiFidelity:
             return engine.run()
 
         serial = run("serial")
-        threaded = run("thread")
-        assert serial.history.reward_trajectory() == threaded.history.reward_trajectory()
-        assert [r.fidelity for r in serial.history.records] == [
-            r.fidelity for r in threaded.history.records
-        ]
+        for backend in ("thread", "process"):
+            other = run(backend)
+            assert serial.history.reward_trajectory() == other.history.reward_trajectory()
+            assert [r.fidelity for r in serial.history.records] == [
+                r.fidelity for r in other.history.records
+            ]
 
     def test_promoted_children_match_single_stage_results(
         self, tiny_splits, tiny_backbone
     ):
         """A promoted child's full result equals its single-stage evaluation.
 
-        Promotion restores the child's initial weights before the full stage,
-        so proxy training leaves no trace in the final numbers -- and the
-        full-fidelity cache keys of staged and plain runs coincide.
+        Every rung builds the child afresh from its seed, so proxy training
+        leaves no trace in the final numbers -- and the full-fidelity cache
+        keys of staged and plain runs coincide.
         """
         episodes, batch = 4, 4
         staged_search = _search(
@@ -435,6 +396,76 @@ class TestMultiFidelity:
             assert record.unfairness == reference.unfairness
             compared += 1
         assert compared > 0
+
+    def test_a_child_rebuilt_for_its_second_rung_holds_the_shared_prefix(
+        self, tiny_splits, tiny_backbone
+    ):
+        episodes, batch = 4, 4
+        search = _search(
+            tiny_splits,
+            tiny_backbone,
+            episodes,
+            policy_batch=batch,
+            pipeline=_PROXY_SETTINGS,
+        )
+        producer = search.producer
+        built = []
+        original = producer.produce
+
+        def produce(decisions, **kwargs):
+            child = original(decisions, **kwargs)
+            built.append((kwargs["seed"], child))
+            return child
+
+        producer.produce = produce
+        result = SearchEngine(search, EngineConfig(batch_episodes=batch)).run()
+
+        promoted = [r for r in result.history.records if r.stages == ["proxy", "full"]]
+        seeds = [seed for seed, _ in built]
+        rebuilt = [
+            child for index, (seed, child) in enumerate(built) if seed in seeds[:index]
+        ]
+        assert promoted and len(rebuilt) == len(promoted)
+        shared = [
+            param.data
+            for stage in producer.shared_prefix()
+            for param in stage.parameters()
+        ]
+        for child in rebuilt:
+            frozen = [param for param in child.model.parameters() if not param.trainable]
+            assert len(frozen) == len(shared) > 0
+            for param, array in zip(frozen, shared):
+                assert param.data is array
+                assert not param.data.flags.writeable and param.grad is None
+
+    def test_process_pool_tasks_name_their_child(
+        self, tiny_splits, tiny_backbone, monkeypatch
+    ):
+        sizes = []
+        original = ProcessPool.map_ordered
+
+        def map_ordered(pool, fn, payloads):
+            sizes.extend(len(pickle.dumps(payload)) for payload in payloads)
+            return original(pool, fn, payloads)
+
+        monkeypatch.setattr(ProcessPool, "map_ordered", map_ordered)
+        episodes, batch = 4, 4
+        search = _search(
+            tiny_splits,
+            tiny_backbone,
+            episodes,
+            policy_batch=batch,
+            pipeline=_PROXY_SETTINGS,
+        )
+        engine = SearchEngine(
+            search, EngineConfig(backend="process", num_workers=2, batch_episodes=batch)
+        )
+        records = engine.run().history.records
+        # One task per rung each child trained at; none carries a model.
+        assert len(sizes) == sum(len(r.stages) for r in records) > episodes
+        assert max(sizes) < 4096
+        # The parent built no child, but it built the prefix its workers share.
+        assert search.producer._prefix is not None
 
     def test_warm_cache_replays_staged_run_without_training(
         self, tiny_splits, tiny_backbone, tmp_path
