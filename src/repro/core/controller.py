@@ -13,6 +13,15 @@ changing one bit of a sample or a gradient: every element still goes through
 the same float64 operations in the same order.  Batching episodes would not
 keep them, because a matrix-matrix product does not round like the
 matrix-vector products it replaces.
+
+An episode with zero advantage is not back-propagated at all.  In a gated
+search every child misses the latency spec and draws the reward -1, so from
+the second episode on the EMA baseline is exactly -1 and every advantage
+exactly 0.  Such an episode's gradient terms are all products with a zero
+coefficient, +0.0 or -0.0 as long as the weights are finite, and adding
+those to gradients that start at +0.0 and are only summed into changes no
+bit.  The update still zeroes the gradients and steps Adam, whose moments
+move the weights even under a zero gradient.
 """
 
 from __future__ import annotations
@@ -24,7 +33,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.search_space import BlockDecision, SearchPosition, SearchSpace
-from repro.nn.functional import softmax
 from repro.nn.tensor import Parameter
 from repro.utils.rng import SeedLike, new_rng
 
@@ -195,19 +203,25 @@ class LSTMController:
         hidden = self.hidden_size
         concat = np.concatenate([self.embedding.data[prev_token], h_prev])
         z = self.lstm_weight.data @ concat + self.lstm_bias.data
-        # The input and forget gates are adjacent: one elementwise sigmoid
-        # over both gives each element the bits of two separate calls.
-        i_f = _sigmoid(z[: 2 * hidden])
-        i = i_f[:hidden]
-        f = i_f[hidden:]
+        # The sigmoid is elementwise, so one call over all of z gives the
+        # input, forget and output gates the bits of three separate calls;
+        # its value over the g block is computed and ignored.
+        sigmoid_z = _sigmoid(z)
+        i = sigmoid_z[:hidden]
+        f = sigmoid_z[hidden : 2 * hidden]
         g = np.tanh(z[2 * hidden : 3 * hidden])
-        o = _sigmoid(z[3 * hidden :])
+        o = sigmoid_z[3 * hidden :]
         c = f * c_prev + i * g
         tanh_c = np.tanh(c)
         h = o * tanh_c
         weight, bias = self._heads[head_key]
-        logits = (weight.data @ h + bias.data) / temperature
-        probs = softmax(logits)
+        logits = weight.data @ h + bias.data
+        if temperature != 1.0:  # x / 1.0 is x, bit for bit
+            logits /= temperature
+        # ``repro.nn.functional.softmax`` of a vector, calling the array
+        # methods that its ``np.max`` and ``np.sum`` wrappers call.
+        exp = np.exp(logits - logits.max())
+        probs = exp / exp.sum()
         cache = _StepCache(
             head_key=head_key,
             prev_token=prev_token,
@@ -232,11 +246,21 @@ class LSTMController:
         policy-gradient trainer passes ``gamma^(T-t) * (R - b)``); the caller
         is responsible for the outer 1/m averaging and for flipping signs if
         it wants gradient *descent* on a loss rather than ascent on reward.
+        When every coefficient is zero the call adds nothing and returns
+        without back-propagating (see the module docstring).
         """
         if len(step_coefficients) != len(sample.steps):
             raise ValueError(
                 f"expected {len(sample.steps)} coefficients, got {len(step_coefficients)}"
             )
+        if not any(step_coefficients):
+            # All 0.0 or -0.0 (NaN is not zero and runs).  Every term the
+            # loop adds is a product with a coefficient, so with finite
+            # weights each is +0.0 or -0.0.  Adding either leaves every
+            # gradient element as it is: the gradient starts at +0.0 and is
+            # only summed into, so no element holds -0.0, the one value that
+            # adding +0.0 changes.
+            return
         hidden = self.hidden_size
         dh_next = np.zeros(hidden)
         dc_next = np.zeros(hidden)
@@ -305,7 +329,8 @@ class LSTMController:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    # ``np.clip(x, ...)`` is a wrapper that calls this method.
+    return 1.0 / (1.0 + np.exp(-x.clip(-60.0, 60.0)))
 
 
 def _draw(probs: np.ndarray, generator: np.random.Generator) -> int:
