@@ -82,8 +82,15 @@ class ChildArchitecture:
     descriptor: ArchitectureDescriptor
     model: Sequential
     decisions: List[BlockDecision]
-    num_trainable_parameters: int
-    num_frozen_parameters: int
+
+    @property
+    def num_trainable_parameters(self) -> int:
+        return self.model.num_parameters(trainable_only=True)
+
+    @property
+    def num_frozen_parameters(self) -> int:
+        """The frozen prefix's parameters, the only ones not trainable."""
+        return self.model.num_parameters() - self.num_trainable_parameters
 
 
 class BackboneProducer:
@@ -292,8 +299,6 @@ class BackboneProducer:
             descriptor=descriptor,
             model=model,
             decisions=list(decisions),
-            num_trainable_parameters=model.num_parameters(trainable_only=True),
-            num_frozen_parameters=sum(stage.num_parameters() for stage in prefix),
         )
 
     def shared_prefix(self, precision: Optional[str] = None) -> List[Module]:
