@@ -124,14 +124,22 @@ class Module:
     # -- train / eval / freeze --------------------------------------------------
     def train(self) -> "Module":
         """Put the module (and sub-modules) in training mode."""
-        for module in self.modules():
-            module.training = True
-        return self
+        return self._set_training(True)
 
     def eval(self) -> "Module":
         """Put the module (and sub-modules) in inference mode."""
-        for module in self.modules():
-            module.training = False
+        return self._set_training(False)
+
+    def _set_training(self, flag: bool) -> "Module":
+        # The modules() order, walked with a stack instead of nested
+        # generators, writing the flag past __setattr__'s type checks (a
+        # bool is neither a Parameter, a Module nor a buffer).
+        stack = [self]
+        while stack:
+            module = stack.pop()
+            module.__dict__["training"] = flag
+            if module._modules:
+                stack.extend(reversed(module._modules.values()))
         return self
 
     def freeze(self) -> "Module":

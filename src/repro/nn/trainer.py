@@ -482,10 +482,10 @@ class Trainer:
         Runs under :func:`~repro.nn.module.inference_mode`, so the layers
         keep no backward caches; ``TrainingConfig.inference_batch_size``
         (default: the training batch size) controls the batching.  The model
-        predicts in eval mode and is left in the mode it was found in; only a
-        training-mode model is switched (two walks of its module tree).  The
-        frozen prefix's outputs are replayed from the memo when an equal
-        predict recorded them.
+        predicts in eval mode and is left in the mode it was found in, also
+        when a forward raises; only a training-mode model is switched (two
+        walks of its module tree).  The frozen prefix's outputs are replayed
+        from the memo when an equal predict recorded them.
         """
         batch = batch_size or self.config.inference_batch_size or self.config.batch_size
         # Feed the model its own precision: predicting float64 images through
@@ -494,25 +494,27 @@ class Trainer:
         was_training = model.training
         if was_training:
             model.eval()
-        prefix, tail = _split_frozen_prefix(model)
-        replay, recording = self._memo.lookup(
-            "predict", prefix, images, rows=images.shape[0], settings=(batch,)
-        )
-        predictions: List[np.ndarray] = []
-        with inference_mode():
-            for step, start in enumerate(range(0, images.shape[0], batch)):
-                if replay is not None:
-                    features = replay.outputs[step]
-                else:
-                    features = _run(prefix, images[start : start + batch])
-                    if recording is not None and not recording.keep(features):
-                        recording = None
-                logits = _run(tail, features)
-                predictions.append(logits.argmax(axis=1))
-        if recording is not None:
-            self._memo.keep("predict", recording)
-        if was_training:
-            model.train()
+        try:
+            prefix, tail = _split_frozen_prefix(model)
+            replay, recording = self._memo.lookup(
+                "predict", prefix, images, rows=images.shape[0], settings=(batch,)
+            )
+            predictions: List[np.ndarray] = []
+            with inference_mode():
+                for step, start in enumerate(range(0, images.shape[0], batch)):
+                    if replay is not None:
+                        features = replay.outputs[step]
+                    else:
+                        features = _run(prefix, images[start : start + batch])
+                        if recording is not None and not recording.keep(features):
+                            recording = None
+                    logits = _run(tail, features)
+                    predictions.append(logits.argmax(axis=1))
+            if recording is not None:
+                self._memo.keep("predict", recording)
+        finally:
+            if was_training:
+                model.train()
         if not predictions:
             return np.zeros((0,), dtype=np.int64)
         return np.concatenate(predictions)

@@ -428,6 +428,16 @@ class TestModuleContainer:
         model.train()
         assert all(m.training for m in model.modules())
 
+    def test_train_eval_reach_every_module_of_a_branching_tree(self):
+        inner = nn.Sequential(nn.BatchNorm2d(2), nn.Sequential(nn.Dropout(0.5)))
+        model = nn.Sequential(nn.Conv2d(2, 2, 1, rng=0), inner, nn.ReLU())
+        inner.eval()
+        assert [m.training for m in model.modules()] == [True, True, False, False, False, False, True]
+        model.train()
+        assert all(m.training for m in model.modules())
+        assert model.eval() is model
+        assert not any(m.training for m in model.modules())
+
     def test_state_dict_roundtrip(self, rng):
         source = nn.Linear(3, 3, rng=0)
         target = nn.Linear(3, 3, rng=1)

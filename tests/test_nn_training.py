@@ -276,6 +276,14 @@ class TestTrainer:
         assert predictions.shape == (10,)
         assert set(np.unique(predictions)).issubset({0, 1})
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_predict_keeps_the_mode_when_a_forward_raises(self, mode):
+        model = getattr(self._toy_model(), mode)()
+        trainer = Trainer(TrainingConfig(batch_size=4, seed=0))
+        with pytest.raises(ValueError):
+            trainer.predict(model, np.zeros((2, 5, 8, 8)))  # 5 channels into 3
+        assert [m.training for m in model.modules()] == [mode == "train"] * 6
+
     def test_evaluate_matches_manual_accuracy(self):
         x, y = self._toy_problem(n=12)
         trainer = Trainer(TrainingConfig(epochs=1, batch_size=4, seed=0))
