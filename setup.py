@@ -36,7 +36,7 @@ setup(
     long_description_content_type="text/plain",
     author="paper-repo-growth",
     license="MIT",
-    python_requires=">=3.9",
+    python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages("src"),
     install_requires=["numpy>=1.22"],
