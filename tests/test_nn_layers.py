@@ -427,8 +427,7 @@ class TestModuleContainer:
         assert all(not m.training for m in model.modules())
         model.train()
         assert all(m.training for m in model.modules())
-
-    def test_train_eval_reach_every_module_of_a_branching_tree(self):
+        # A branching tree, with one sub-tree switched on its own.
         inner = nn.Sequential(nn.BatchNorm2d(2), nn.Sequential(nn.Dropout(0.5)))
         model = nn.Sequential(nn.Conv2d(2, 2, 1, rng=0), inner, nn.ReLU())
         inner.eval()

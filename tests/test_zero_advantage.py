@@ -84,7 +84,7 @@ def test_zero_advantage_updates_equal_the_reference(temperature):
             ref_sample = _reference_sample(reference, ref_rng, temperature, greedy)
             live_sample = live.sample(rng=live_rng, temperature=temperature, greedy=greedy)
             _assert_same_sample(ref_sample, live_sample)
-            if reward == AT_BASELINE:
+            if reward is AT_BASELINE:
                 reward = ref_trainer.baseline
             advantages.append(reward - live_trainer.baseline)
             ref_trainer.observe(ref_sample, reward)
@@ -94,7 +94,6 @@ def test_zero_advantage_updates_equal_the_reference(temperature):
         assert live_rng.bit_generator.state == ref_rng.bit_generator.state
     # The schedule is what it says: after one -1, seven episodes on a
     # baseline of exactly -1, then zero and nonzero advantages side by side.
-    assert ref_trainer.baseline is not None
     assert advantages[:8] == [-1.0] + [0.0] * 7
     zero = [advantage == 0.0 for advantage in advantages]
     assert zero[8:12] == [True, False, True, False]
